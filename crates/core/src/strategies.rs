@@ -264,6 +264,13 @@ pub fn run_strategy(
         residual_conflicts: a.residual_conflicts(&full),
         repair_copies,
     };
+    // The per-stage self-check only holds for a stage that started from an
+    // empty assignment; the whole-program guarantee is checked here.
+    debug_assert!(
+        report.residual_conflicts == 0 || full.instructions.iter().any(|i| i.len() > rt.modules),
+        "{} left a fitting instruction conflicting",
+        strategy.name()
+    );
     (a, report)
 }
 

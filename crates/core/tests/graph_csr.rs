@@ -139,7 +139,7 @@ proptest! {
 
     #[test]
     fn filtered_csr_matches_filtered_reference(trace in arb_trace(), modulus in 2u32..5) {
-        let keep = |v: ValueId| v.0 % modulus == 0;
+        let keep = |v: ValueId| v.0.is_multiple_of(modulus);
         let g = ConflictGraph::build_filtered(&trace, keep);
         let n = naive_build(&trace, keep);
         assert_equivalent(&g, &n);

@@ -37,7 +37,7 @@ fn any_subset_colorable(g: &ConflictGraph, k: usize, removed: usize) -> bool {
         return true;
     }
     loop {
-        let sub = g.induced(&idx.iter().map(|&i| i).collect::<Vec<_>>());
+        let sub = g.induced(&idx);
         if is_k_colorable(&sub, k) {
             return true;
         }

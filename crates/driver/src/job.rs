@@ -21,7 +21,6 @@ use parmem_core::types::{AccessTrace, ModuleId, ModuleSet};
 use parmem_obs::{JobMetrics, StageKind, StageTimer};
 use parmem_verify::VerifyReport;
 use rliw_sim::pipeline::{self, CompileOptions, Table2Row};
-use rliw_sim::ArrayPlacement;
 
 /// One unit of pipeline work: compile `source` for a `k`-module machine,
 /// assign with `strategy`, verify, and simulate.
@@ -579,9 +578,10 @@ impl<'a> PipelineContext<'a> {
         Ok(())
     }
 
-    /// Stage 7: RLIW simulation under the four array policies (plus the
-    /// compile-time planned layout when the spec carries an array policy)
-    /// and the divergence check against the reference output (with the
+    /// Stage 7: RLIW simulation — one execution costed under the four
+    /// array policies (plus the compile-time planned layout, planned and
+    /// verified first, when the spec carries an array policy) — and the
+    /// divergence check against the reference output (with the
     /// `CorruptOutput` fault applied in between).
     pub fn simulate(&mut self) -> Result<(), JobError> {
         maybe_panic(self.spec, StageKind::Simulate);
@@ -590,19 +590,9 @@ impl<'a> PipelineContext<'a> {
         let reference = self.reference.as_ref().expect("reference ran");
         let t = StageTimer::start();
         let _sim_span = parmem_obs::span(StageKind::Simulate.span_name());
-        let sim = |policy: ArrayPlacement| {
-            rliw_sim::run(sched, assignment, policy).map_err(|e| JobError::Sim(e.to_string()))
-        };
-        // Per-workload seed derivation: see the seeding notes in
-        // `rliw_sim::arrays`.
-        let seed = rliw_sim::uniform_seed(self.spec.seed, sched.workload_digest());
-        let ideal = sim(ArrayPlacement::Ideal)?;
-        let rand = sim(ArrayPlacement::UniformRandom(seed))?;
-        let inter = sim(ArrayPlacement::Interleaved)?;
-        let worst = sim(ArrayPlacement::SameModule(0))?;
 
         // Fifth policy: the compile-time plan, verified before it runs.
-        let planned = match self.spec.array_policy {
+        let layout = match self.spec.array_policy {
             None => None,
             Some(policy) => {
                 let profiles =
@@ -613,26 +603,33 @@ impl<'a> PipelineContext<'a> {
                     assignment.clone(),
                     &profiles,
                 ));
-                let digest = layout.digest();
-                let check = parmem_verify::verify_layout(&layout, digest);
+                let check = parmem_verify::verify_layout(&layout, layout.digest());
                 if !check.is_clean() {
                     return Err(JobError::Verify { report: check });
                 }
-                let arrays = layout.arrays.len();
-                let stats = sim(ArrayPlacement::Planned(Arc::clone(&layout)))?;
-                Some(PlannedSummary {
-                    policy: policy.name(),
-                    layout_digest: digest,
-                    transfer_time: stats.transfer_time,
-                    t_ave_model: ideal.expected_transfer_time,
-                    arrays,
-                })
+                Some(layout)
             }
         };
+        let run = pipeline::table2_row(
+            &self.spec.program,
+            sched,
+            assignment,
+            self.spec.seed,
+            layout.clone(),
+        )
+        .map_err(|e| JobError::Sim(e.to_string()))?;
+        let planned = layout.map(|layout| PlannedSummary {
+            policy: layout.policy.name(),
+            layout_digest: layout.digest(),
+            transfer_time: run.t_planned.expect("planned layout was costed"),
+            t_ave_model: run.row.t_ave_analytic,
+            arrays: layout.arrays.len(),
+        });
         drop(_sim_span);
         self.metrics.push(StageKind::Simulate, t.stop());
 
-        let mut simulated = inter.output.clone();
+        let inter = run.interleaved;
+        let mut simulated = inter.output;
         if self.spec.fault == Some(FaultInjection::CorruptOutput) {
             match simulated.first_mut() {
                 Some(v) => *v = liw_ir::Value::Int(i64::MIN),
@@ -652,15 +649,7 @@ impl<'a> PipelineContext<'a> {
             });
         }
 
-        self.table2 = Some(Table2Row {
-            program: self.spec.program.clone(),
-            modules: self.spec.k,
-            t_min: ideal.transfer_time,
-            t_ave_analytic: ideal.expected_transfer_time,
-            t_ave_measured: rand.transfer_time,
-            t_interleaved: inter.transfer_time,
-            t_max: worst.transfer_time,
-        });
+        self.table2 = Some(run.row);
         self.words = inter.words;
         self.cycles = inter.cycles;
         self.planned = planned;

@@ -31,7 +31,7 @@ use parmem_core::layout::MemoryLayout;
 use parmem_core::matching::makespan_schedule;
 use parmem_core::types::{ModuleId, ModuleSet, ValueId};
 use rliw_sim::model::MaxloadTable;
-use rliw_sim::{run, uniform_seed, ArrayPlacement, SimError};
+use rliw_sim::{run_policies, uniform_seed, ArrayPlacement, SimError};
 
 /// Documented bound on the relative error between the predicted `t_ave`
 /// and one measured uniform-random run,
@@ -82,9 +82,9 @@ pub struct StaticPrediction {
 
 /// Build the static per-word cost model for `prog` under `assignment`.
 ///
-/// This mirrors `rliw_sim::machine::run_with_fuel`'s memory accounting
-/// operation for operation, so the weighted totals reproduce the
-/// simulator's counters exactly.
+/// This mirrors the per-word fetch plan `rliw_sim::machine::run_policies`
+/// builds before executing, operation for operation, so the weighted
+/// totals reproduce the simulator's counters exactly.
 pub fn predict(prog: &SchedProgram, assignment: &Assignment) -> StaticPrediction {
     assert_eq!(
         assignment.modules(),
@@ -317,10 +317,28 @@ pub fn compare(
     assignment: &Assignment,
     seed: u64,
 ) -> Result<PredictReport, SimError> {
+    compare_with_layouts(prog, assignment, seed, &[])
+}
+
+/// [`compare`], plus one measured [`PolicyRow`] per compile-time planned
+/// layout — the predicted-vs-measured t_ave comparison *per policy* that
+/// the placement bench and `parmem lint --array-policy` report. One
+/// execution is costed under the three Table 2 policies and every layout.
+pub fn compare_with_layouts(
+    prog: &SchedProgram,
+    assignment: &Assignment,
+    seed: u64,
+    layouts: &[Arc<MemoryLayout>],
+) -> Result<PredictReport, SimError> {
     let seed = uniform_seed(seed, prog.workload_digest());
-    let ideal = run(prog, assignment, ArrayPlacement::Ideal)?;
-    let worst = run(prog, assignment, ArrayPlacement::SameModule(0))?;
-    let uniform = run(prog, assignment, ArrayPlacement::UniformRandom(seed))?;
+    let mut policies = vec![
+        ArrayPlacement::Ideal,
+        ArrayPlacement::SameModule(0),
+        ArrayPlacement::UniformRandom(seed),
+    ];
+    policies.extend(layouts.iter().cloned().map(ArrayPlacement::Planned));
+    let runs = run_policies(prog, assignment, &policies)?;
+    let (ideal, worst, uniform) = (&runs[0], &runs[1], &runs[2]);
 
     let pred = predict(prog, assignment);
     let t = totals(prog, &pred, &ideal.block_exec);
@@ -330,6 +348,19 @@ pub fn compare(
         .iter()
         .zip(&t.array_accesses)
         .map(|(a, &n)| (a.name.clone(), n))
+        .collect();
+
+    let rows = layouts
+        .iter()
+        .zip(&policies[3..])
+        .zip(&runs[3..])
+        .map(|((layout, policy), stats)| PolicyRow {
+            policy: policy.label(),
+            layout_digest: layout.digest(),
+            t_modeled: t.t_ave,
+            t_measured: stats.transfer_time,
+            uniform_like: matches!(layout.policy, parmem_core::layout::ArrayPolicy::Hash),
+        })
         .collect();
 
     Ok(PredictReport {
@@ -347,33 +378,8 @@ pub fn compare(
         module_transfers_predicted: t.module_transfers,
         module_transfers_measured: ideal.module_transfers.clone(),
         per_array,
-        policies: Vec::new(),
+        policies: rows,
     })
-}
-
-/// [`compare`], plus one measured [`PolicyRow`] per compile-time planned
-/// layout — the predicted-vs-measured t_ave comparison *per policy* that
-/// the placement bench and `parmem lint --array-policy` report.
-pub fn compare_with_layouts(
-    prog: &SchedProgram,
-    assignment: &Assignment,
-    seed: u64,
-    layouts: &[Arc<MemoryLayout>],
-) -> Result<PredictReport, SimError> {
-    let mut report = compare(prog, assignment, seed)?;
-    for layout in layouts {
-        let policy = ArrayPlacement::Planned(Arc::clone(layout));
-        let label = policy.label();
-        let stats = run(prog, assignment, policy)?;
-        report.policies.push(PolicyRow {
-            policy: label,
-            layout_digest: layout.digest(),
-            t_modeled: report.t_ave_predicted,
-            t_measured: stats.transfer_time,
-            uniform_like: matches!(layout.policy, parmem_core::layout::ArrayPolicy::Hash),
-        });
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

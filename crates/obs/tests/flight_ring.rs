@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 fn ev(i: usize) -> FlightEvent {
     FlightEvent {
-        kind: if i % 3 == 0 {
+        kind: if i.is_multiple_of(3) {
             FlightEventKind::Heartbeat
         } else {
             FlightEventKind::Span

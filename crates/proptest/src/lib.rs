@@ -593,7 +593,10 @@ mod tests {
         }
         fn depth(t: &Tree) -> usize {
             match t {
-                Tree::Leaf(_) => 0,
+                Tree::Leaf(v) => {
+                    assert!(*v < 10, "leaf {v} outside its strategy's range");
+                    0
+                }
                 Tree::Node(c) => 1 + c.iter().map(depth).max().unwrap_or(0),
             }
         }

@@ -342,8 +342,8 @@ mod tests {
     #[test]
     fn weighted_index_rejects_bad_input() {
         assert!(WeightedIndex::new(Vec::<f64>::new()).is_err());
-        assert!(WeightedIndex::new(&[0.0, 0.0]).is_err());
-        assert!(WeightedIndex::new(&[-1.0]).is_err());
+        assert!(WeightedIndex::new([0.0, 0.0]).is_err());
+        assert!(WeightedIndex::new([-1.0]).is_err());
     }
 
     #[test]

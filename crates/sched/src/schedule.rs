@@ -420,7 +420,7 @@ mod tests {
                         "branch cond defined in its own fetch word"
                     );
                     assert!(
-                        dw + 1 <= b.words.len() - 1 || dw < b.words.len() - 1,
+                        dw < b.words.len() - 1,
                         "cond def word {dw} vs words {}",
                         b.words.len()
                     );

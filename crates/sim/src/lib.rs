@@ -20,8 +20,8 @@ pub mod model;
 pub mod pipeline;
 
 pub use arrays::{uniform_seed, ArrayPlacement};
-pub use machine::{run, run_with_fuel, SimError, SimStats};
+pub use machine::{run, run_policies, run_policies_with_fuel, run_with_fuel, SimError, SimStats};
 pub use pipeline::{
     assign, compile, compile_with, quick_run, table2_row, verified_run, CompileOptions,
-    CompiledProgram, Table2Row, VerifiedRun,
+    CompiledProgram, Table2Row, Table2Run, VerifiedRun,
 };

@@ -5,12 +5,19 @@
 //! Timing model (paper §3): a module performs one data transfer per Δ; all
 //! modules work in parallel, so a word's memory-transfer time is
 //! `max-load × Δ` where max-load is the busiest module's access count. The
-//! simulator reports actual transfer time under the chosen
+//! simulator reports actual transfer time under each requested
 //! [`ArrayPlacement`], the analytic expectation under the uniform assumption
 //! (`t_ave` — computed exactly per executed word), and the usual execution
 //! statistics.
+//!
+//! A program's semantics do not depend on where its array elements live, so
+//! [`run_policies`] executes it once and costs every policy in the same
+//! pass. Before executing, it plans each *static* word's scalar fetches
+//! (makespan schedule, duplicate reads, copy writes, the `t_ave` entry);
+//! per executed word it only evaluates the ops and, per policy, adds the
+//! array accesses to the planned scalar loads.
 
-use liw_ir::tac::{eval_op, Value};
+use liw_ir::tac::{eval_op, ArrayId, Value};
 use liw_sched::{SOperand, SchedProgram, SchedTerm, SlotOp};
 use parmem_core::assignment::Assignment;
 use parmem_core::matching::makespan_schedule;
@@ -87,13 +94,6 @@ impl SimStats {
             .map(|&s| s / self.mem_words as f64)
             .collect()
     }
-
-    fn bump_hist(&mut self, m: usize) {
-        if self.makespan_hist.len() <= m {
-            self.makespan_hist.resize(m + 1, 0);
-        }
-        self.makespan_hist[m] += 1;
-    }
 }
 
 /// Simulation errors.
@@ -133,28 +133,194 @@ fn zero(ty: liw_ir::Ty) -> Value {
     }
 }
 
-/// Execute `prog` under `assignment` with the given array policy.
+/// Words a run may execute unless the caller sets its own fuel.
+const DEFAULT_FUEL: u64 = 100_000_000;
+
+/// What one static long word costs in memory traffic, whatever the run-time
+/// values and the array policy: the scalar fetches are fixed by the
+/// assignment, and the number of array accesses by the word's ops.
+struct WordPlan {
+    /// Operations in the word.
+    ops: u64,
+    /// Array element accesses (loads + stores).
+    arrays: u64,
+    /// Whether the word touches memory at all.
+    mem: bool,
+    /// Busiest module's scalar load.
+    scalar_max: u32,
+    /// Index of the word's `(t_ave, p(i))` entry in [`FetchPlan::maxload`]
+    /// (memory words only).
+    maxload: usize,
+    unplaced_reads: u64,
+    dup_reads: u64,
+    dup_alt_reads: u64,
+    scalar_conflict: bool,
+    copy_write_transfers: u64,
+}
+
+/// The per-word fetch plan of a whole program under one assignment, built
+/// once before execution so the hot loop does no matching, no table lookup
+/// and no allocation.
+struct FetchPlan {
+    k: usize,
+    /// Plan index of each block's first word.
+    block_start: Vec<usize>,
+    words: Vec<WordPlan>,
+    /// Scalar base loads from the makespan schedule, `k` per word.
+    loads: Vec<u32>,
+    /// Distinct `(t_ave, p(i))` entries of the memory words.
+    maxload: Vec<(f64, Vec<f64>)>,
+}
+
+impl FetchPlan {
+    fn new(prog: &SchedProgram, assignment: &Assignment) -> FetchPlan {
+        let k = prog.spec.modules;
+        let mut table = MaxloadTable::new();
+        let mut plan = FetchPlan {
+            k,
+            block_start: Vec::with_capacity(prog.blocks.len()),
+            words: Vec::new(),
+            loads: Vec::new(),
+            maxload: Vec::new(),
+        };
+        for b in &prog.blocks {
+            plan.block_start.push(plan.words.len());
+            for (wi, word) in b.words.iter().enumerate() {
+                let scalar_webs = b.word_operands(wi);
+                let mut unplaced_reads = 0;
+                let op_sets: Vec<ModuleSet> = scalar_webs
+                    .iter()
+                    .map(|&w| {
+                        let set = assignment.copies(ValueId(w));
+                        if set.is_empty() {
+                            // An unplaced read is fetched from module 0.
+                            unplaced_reads += 1;
+                            ModuleSet::singleton(ModuleId(0))
+                        } else {
+                            set
+                        }
+                    })
+                    .collect();
+                let (sched_mods, scalar_makespan) =
+                    makespan_schedule(&op_sets).expect("no empty sets remain");
+                let base = plan.loads.len();
+                plan.loads.resize(base + k, 0);
+                let loads = &mut plan.loads[base..];
+                let (mut dup_reads, mut dup_alt_reads) = (0, 0);
+                for (&m, set) in sched_mods.iter().zip(&op_sets) {
+                    loads[m as usize] += 1;
+                    if set.len() > 1 {
+                        dup_reads += 1;
+                        if Some(ModuleId(m)) != set.first() {
+                            dup_alt_reads += 1;
+                        }
+                    }
+                }
+                let arrays = word.array_access_count();
+                let mem = !scalar_webs.is_empty() || arrays > 0;
+                // Copy-creation transfers: each def of a duplicated value
+                // broadcasts to its extra copies.
+                let copy_write_transfers = word
+                    .ops
+                    .iter()
+                    .filter_map(SlotOp::writes)
+                    .map(|w| assignment.copies(ValueId(w)).len().saturating_sub(1) as u64)
+                    .sum();
+                plan.words.push(WordPlan {
+                    ops: word.ops.len() as u64,
+                    arrays: arrays as u64,
+                    mem,
+                    scalar_max: loads.iter().copied().max().unwrap_or(0),
+                    maxload: if mem { table.intern(loads, arrays) } else { 0 },
+                    unplaced_reads,
+                    dup_reads,
+                    dup_alt_reads,
+                    scalar_conflict: scalar_makespan > 1,
+                    copy_write_transfers,
+                });
+            }
+        }
+        plan.maxload = table.into_entries();
+        plan
+    }
+
+    fn scalar_loads(&self, word: usize) -> &[u32] {
+        &self.loads[word * self.k..(word + 1) * self.k]
+    }
+}
+
+/// One policy's share of a run: its own resolver (so a random policy draws
+/// exactly the sequence a one-policy run would), its own load buffer, and
+/// the costs of the words whose array accesses it places.
+struct PolicyCost {
+    resolver: ArrayModuleMap,
+    loads: Vec<u32>,
+    cycles: u64,
+    transfer_time: u64,
+    makespan_hist: Vec<u64>,
+    /// Array accesses served per module.
+    array_transfers: Vec<u64>,
+}
+
+impl PolicyCost {
+    fn new(policy: &ArrayPlacement, k: usize) -> PolicyCost {
+        PolicyCost {
+            resolver: ArrayModuleMap::new(policy.clone(), k),
+            loads: vec![0; k],
+            cycles: 0,
+            transfer_time: 0,
+            makespan_hist: Vec::new(),
+            array_transfers: vec![0; k],
+        }
+    }
+
+    /// Cost one executed word with array accesses: resolve them in op order,
+    /// add them to the word's scalar loads and take the busiest module.
+    fn charge(&mut self, scalar_loads: &[u32], accesses: &[(u32, i64)]) {
+        self.loads.copy_from_slice(scalar_loads);
+        for &(array, index) in accesses {
+            if let Some(m) = self.resolver.module_for(array, index) {
+                self.loads[m as usize] += 1;
+                self.array_transfers[m as usize] += 1;
+            }
+        }
+        let makespan = self.loads.iter().copied().max().unwrap_or(0).max(1) as u64;
+        self.cycles += makespan;
+        self.transfer_time += makespan;
+        bump_hist(&mut self.makespan_hist, makespan as usize, 1);
+    }
+}
+
+fn bump_hist(hist: &mut Vec<u64>, makespan: usize, n: u64) {
+    if hist.len() <= makespan {
+        hist.resize(makespan + 1, 0);
+    }
+    hist[makespan] += n;
+}
+
+/// Execute `prog` once under `assignment` and cost it under every policy in
+/// `policies`, returning one [`SimStats`] per policy, in order.
 ///
-/// `fuel` bounds the number of executed words (use
-/// [`run`] for the default 100M).
-pub fn run_with_fuel(
+/// The program's semantics do not depend on where array elements live, so
+/// one execution serves every policy: each executed word's array accesses
+/// are resolved by each policy's own resolver, in op order, and added to
+/// the word's precomputed scalar loads. Every policy's stats equal those of
+/// a one-policy [`run`] to the last bit. `fuel` bounds the number of
+/// executed words.
+pub fn run_policies_with_fuel(
     prog: &SchedProgram,
     assignment: &Assignment,
-    policy: ArrayPlacement,
+    policies: &[ArrayPlacement],
     mut fuel: u64,
-) -> Result<SimStats, SimError> {
+) -> Result<Vec<SimStats>, SimError> {
     assert_eq!(
         assignment.modules(),
         prog.spec.modules,
         "assignment and machine must agree on k"
     );
     let k = prog.spec.modules;
-    let mut run_span = parmem_obs::span("sim.run");
-    run_span.attr("policy", policy.label());
-    run_span.attr("k", k);
-    let policy_label = policy.label();
-    let mut arrays_map = ArrayModuleMap::new(policy, k);
-    let mut table = MaxloadTable::new();
+    let plan = FetchPlan::new(prog, assignment);
+    let mut costs: Vec<PolicyCost> = policies.iter().map(|p| PolicyCost::new(p, k)).collect();
 
     // Runtime state: one logical value per data value (all copies hold the
     // same contents — copies are kept coherent by the compile-time-scheduled
@@ -168,11 +334,17 @@ pub fn run_with_fuel(
         .map(|a| vec![zero(a.elem); a.len])
         .collect();
 
-    let mut stats = SimStats {
+    // Policy-independent results, shared by every policy's stats.
+    let mut shared = SimStats {
         block_exec: vec![0; prog.blocks.len()],
         ..SimStats::default()
     };
     let mut block = prog.entry;
+
+    // Per-word buffers, reused across words.
+    let mut scalar_writes: Vec<(u32, Value)> = Vec::new();
+    let mut array_writes: Vec<(usize, usize, Value)> = Vec::new();
+    let mut accesses: Vec<(u32, i64)> = Vec::new();
 
     let read = |values: &[Value], o: &SOperand| -> Value {
         match o {
@@ -180,23 +352,29 @@ pub fn run_with_fuel(
             SOperand::Scalar(w) => values[*w as usize],
         }
     };
+    let in_bounds = |arr: ArrayId, i: i64, len: usize| {
+        if i < 0 || i as usize >= len {
+            return Err(SimError::Bounds {
+                array: prog.arrays[arr.index()].name.clone(),
+                index: i,
+                len,
+            });
+        }
+        Ok(i as usize)
+    };
 
     'outer: loop {
-        stats.block_exec[block.index()] += 1;
+        shared.block_exec[block.index()] += 1;
         let b = &prog.blocks[block.index()];
-        for wi in 0..b.words.len() {
+        let first = plan.block_start[block.index()];
+        for (wi, word) in b.words.iter().enumerate() {
             if fuel == 0 {
                 return Err(SimError::OutOfFuel);
             }
             fuel -= 1;
-            let word = &b.words[wi];
 
             // ---- evaluate ops against the word-start snapshot ----
-            let mut scalar_writes: Vec<(u32, Value)> = Vec::new();
-            let mut array_writes: Vec<(usize, usize, Value)> = Vec::new();
-            let mut array_modules: Vec<Option<u16>> = Vec::new();
             for op in &word.ops {
-                stats.ops += 1;
                 match op {
                     SlotOp::Compute { dest, op, lhs, rhs } => {
                         let a = read(&values, lhs);
@@ -206,32 +384,19 @@ pub fn run_with_fuel(
                     SlotOp::Load { dest, arr, index } => {
                         let i = read(&values, index).as_int();
                         let store = &arrays[arr.index()];
-                        if i < 0 || i as usize >= store.len() {
-                            return Err(SimError::Bounds {
-                                array: prog.arrays[arr.index()].name.clone(),
-                                index: i,
-                                len: store.len(),
-                            });
-                        }
-                        array_modules.push(arrays_map.module_for(arr.0, i));
-                        scalar_writes.push((*dest, store[i as usize]));
+                        let at = in_bounds(*arr, i, store.len())?;
+                        accesses.push((arr.0, i));
+                        scalar_writes.push((*dest, store[at]));
                     }
                     SlotOp::Store { arr, index, value } => {
                         let i = read(&values, index).as_int();
                         let v = read(&values, value);
-                        let store = &arrays[arr.index()];
-                        if i < 0 || i as usize >= store.len() {
-                            return Err(SimError::Bounds {
-                                array: prog.arrays[arr.index()].name.clone(),
-                                index: i,
-                                len: store.len(),
-                            });
-                        }
-                        array_modules.push(arrays_map.module_for(arr.0, i));
-                        array_writes.push((arr.index(), i as usize, v));
+                        let at = in_bounds(*arr, i, arrays[arr.index()].len())?;
+                        accesses.push((arr.0, i));
+                        array_writes.push((arr.index(), at, v));
                     }
                     SlotOp::Print { value } => {
-                        stats.output.push(read(&values, value));
+                        shared.output.push(read(&values, value));
                     }
                     SlotOp::Select {
                         cond,
@@ -250,85 +415,34 @@ pub fn run_with_fuel(
             }
 
             // ---- memory accounting ----
-            let scalar_webs = b.word_operands(wi);
-            let mut op_sets: Vec<ModuleSet> = scalar_webs
-                .iter()
-                .map(|&w| assignment.copies(ValueId(w)))
-                .collect();
-            for s in op_sets.iter_mut() {
-                if s.is_empty() {
-                    stats.unplaced_reads += 1;
-                    *s = ModuleSet::singleton(ModuleId(0));
+            let w = first + wi;
+            let wp = &plan.words[w];
+            // Analytic expectation from scalar base loads + uniform arrays,
+            // summed in execution order.
+            if wp.mem {
+                let (e, dist) = &plan.maxload[wp.maxload];
+                shared.expected_transfer_time += e;
+                if shared.analytic_hist.len() < dist.len() {
+                    shared.analytic_hist.resize(dist.len(), 0.0);
+                }
+                for (acc, p) in shared.analytic_hist.iter_mut().zip(dist) {
+                    *acc += p;
                 }
             }
-            let (sched_mods, scalar_makespan) =
-                makespan_schedule(&op_sets).expect("no empty sets remain");
-            let mut loads = vec![0u32; k];
-            for (&m, set) in sched_mods.iter().zip(&op_sets) {
-                loads[m as usize] += 1;
-                if set.len() > 1 {
-                    stats.dup_reads += 1;
-                    if Some(ModuleId(m)) != set.first() {
-                        stats.dup_alt_reads += 1;
-                    }
+            // Actual max-load under each policy.
+            if !accesses.is_empty() {
+                let scalar_loads = plan.scalar_loads(w);
+                for cost in &mut costs {
+                    cost.charge(scalar_loads, &accesses);
                 }
-            }
-            if scalar_makespan > 1 {
-                stats.scalar_conflict_words += 1;
-            }
-
-            let n_array = array_modules.len();
-            let any_access = !scalar_webs.is_empty() || n_array > 0;
-
-            // Analytic expectation from scalar base loads + uniform arrays.
-            if any_access {
-                let (e, dist) = table.lookup(&loads, n_array).clone();
-                stats.expected_transfer_time += e;
-                if stats.analytic_hist.len() < dist.len() {
-                    stats.analytic_hist.resize(dist.len(), 0.0);
-                }
-                for (i, p) in dist.iter().enumerate() {
-                    stats.analytic_hist[i] += p;
-                }
-            }
-
-            // Actual max-load under the chosen policy.
-            for m in array_modules.iter().flatten() {
-                loads[*m as usize] += 1;
-            }
-            let mut makespan = *loads.iter().max().unwrap_or(&0) as usize;
-            if any_access {
-                makespan = makespan.max(1);
-            }
-
-            if stats.module_transfers.len() < k {
-                stats.module_transfers.resize(k, 0);
-            }
-            for (m, &l) in loads.iter().enumerate() {
-                stats.module_transfers[m] += l as u64;
-            }
-            stats.words += 1;
-            stats.cycles += makespan.max(1) as u64;
-            stats.transfer_time += makespan as u64;
-            if any_access {
-                stats.mem_words += 1;
-                stats.bump_hist(makespan);
-            }
-
-            // Copy-creation transfers: each def of a duplicated value
-            // broadcasts to its extra copies.
-            for &(w, _) in &scalar_writes {
-                let c = assignment.copies(ValueId(w)).len();
-                if c > 1 {
-                    stats.copy_write_transfers += (c - 1) as u64;
-                }
+                accesses.clear();
             }
 
             // ---- commit writes ----
-            for (w, v) in scalar_writes {
+            for (w, v) in scalar_writes.drain(..) {
                 values[w as usize] = v;
             }
-            for (a, i, v) in array_writes {
+            for (a, i, v) in array_writes.drain(..) {
                 arrays[a][i] = v;
             }
         }
@@ -350,10 +464,97 @@ pub fn run_with_fuel(
         }
     }
 
-    run_span.attr("words", stats.words);
-    run_span.attr("cycles", stats.cycles);
-    publish_metrics(&stats, policy_label);
-    Ok(stats)
+    // Every word of a block ran as often as the block did: weight the
+    // static plan by the block counts for the policy-independent totals,
+    // and for the cost of words no policy places an array access in.
+    let mut scalar_transfers = vec![0u64; k];
+    let (mut plain_cycles, mut plain_transfer, mut plain_hist) = (0u64, 0u64, Vec::new());
+    for (bi, &n) in shared.block_exec.iter().enumerate() {
+        if n == 0 {
+            continue;
+        }
+        let first = plan.block_start[bi];
+        for w in first..first + prog.blocks[bi].words.len() {
+            let wp = &plan.words[w];
+            shared.words += n;
+            shared.ops += n * wp.ops;
+            shared.unplaced_reads += n * wp.unplaced_reads;
+            shared.dup_reads += n * wp.dup_reads;
+            shared.dup_alt_reads += n * wp.dup_alt_reads;
+            shared.scalar_conflict_words += n * u64::from(wp.scalar_conflict);
+            shared.copy_write_transfers += n * wp.copy_write_transfers;
+            for (t, &l) in scalar_transfers.iter_mut().zip(plan.scalar_loads(w)) {
+                *t += n * u64::from(l);
+            }
+            if wp.mem {
+                shared.mem_words += n;
+            }
+            if wp.arrays == 0 {
+                // A memory word without array accesses reads a scalar, so
+                // its makespan is at least 1.
+                plain_cycles += n * u64::from(wp.scalar_max.max(1));
+                plain_transfer += n * u64::from(wp.scalar_max);
+                if wp.mem {
+                    bump_hist(&mut plain_hist, wp.scalar_max as usize, n);
+                }
+            }
+        }
+    }
+
+    let mut out = Vec::with_capacity(policies.len());
+    let last = policies.len().saturating_sub(1);
+    for (i, (policy, cost)) in policies.iter().zip(costs).enumerate() {
+        let mut run_span = parmem_obs::span("sim.run");
+        run_span.attr("policy", policy.label());
+        run_span.attr("k", k);
+        // The shared data is copied once per policy; the last one takes it.
+        let mut stats = if i == last {
+            std::mem::take(&mut shared)
+        } else {
+            shared.clone()
+        };
+        stats.cycles = plain_cycles + cost.cycles;
+        stats.transfer_time = plain_transfer + cost.transfer_time;
+        stats.makespan_hist = plain_hist.clone();
+        for (m, &n) in cost.makespan_hist.iter().enumerate() {
+            bump_hist(&mut stats.makespan_hist, m, n);
+        }
+        if stats.words > 0 {
+            stats.module_transfers = scalar_transfers
+                .iter()
+                .zip(&cost.array_transfers)
+                .map(|(s, a)| s + a)
+                .collect();
+        }
+        run_span.attr("words", stats.words);
+        run_span.attr("cycles", stats.cycles);
+        publish_metrics(&stats, policy.label());
+        out.push(stats);
+    }
+    Ok(out)
+}
+
+/// [`run_policies_with_fuel`] with the default fuel (10^8 words).
+pub fn run_policies(
+    prog: &SchedProgram,
+    assignment: &Assignment,
+    policies: &[ArrayPlacement],
+) -> Result<Vec<SimStats>, SimError> {
+    run_policies_with_fuel(prog, assignment, policies, DEFAULT_FUEL)
+}
+
+/// Execute `prog` under `assignment` with the given array policy.
+///
+/// `fuel` bounds the number of executed words (use
+/// [`run`] for the default 100M).
+pub fn run_with_fuel(
+    prog: &SchedProgram,
+    assignment: &Assignment,
+    policy: ArrayPlacement,
+    fuel: u64,
+) -> Result<SimStats, SimError> {
+    let mut stats = run_policies_with_fuel(prog, assignment, &[policy], fuel)?;
+    Ok(stats.pop().expect("one policy, one result"))
 }
 
 /// Publish the run's deterministic aggregates to the [`parmem_obs`] metric
@@ -408,7 +609,7 @@ pub fn run(
     assignment: &Assignment,
     policy: ArrayPlacement,
 ) -> Result<SimStats, SimError> {
-    run_with_fuel(prog, assignment, policy, 100_000_000)
+    run_with_fuel(prog, assignment, policy, DEFAULT_FUEL)
 }
 
 #[cfg(test)]

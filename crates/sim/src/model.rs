@@ -17,53 +17,61 @@ use std::collections::HashMap;
 /// thrown uniformly into `k` modules that already carry `base` loads
 /// (`base.len() == k`). Returns `p[m] = P(max-load = m)`, for
 /// `m in 0..=max(base)+a`.
+///
+/// The DP visits its states in a fixed order, so the result is the same to
+/// the last bit on every call.
 pub fn maxload_distribution(base: &[u32], a: usize) -> Vec<f64> {
     let k = base.len();
     assert!(k >= 1, "need at least one module");
     let max_possible = (*base.iter().max().unwrap_or(&0) as usize) + a;
+    let width = max_possible + 1;
 
-    // DP over modules: state = (balls left, max load so far) → probability.
-    // Module j receives c of the remaining r balls with probability
-    // Binomial(r, 1/(k-j)): the balls destined for modules j..k are uniform
-    // over those modules.
-    let mut cur: HashMap<(usize, u32), f64> = HashMap::new();
-    cur.insert((a, 0), 1.0);
+    // DP over modules: state = (balls left, max load so far) → probability,
+    // stored densely at `r * width + mx`. Module j receives c of the
+    // remaining r balls with probability Binomial(r, 1/(k-j)): the balls
+    // destined for modules j..k are uniform over those modules.
+    let mut cur = vec![0.0f64; (a + 1) * width];
+    cur[a * width] = 1.0;
+    let mut next = vec![0.0f64; cur.len()];
 
     for (j, &base_j) in base.iter().enumerate() {
         let remaining_modules = (k - j) as f64;
         let p_here = 1.0 / remaining_modules;
-        let mut next: HashMap<(usize, u32), f64> = HashMap::new();
-        for (&(r, mx), &prob) in &cur {
-            // Probability module j gets exactly c of the r balls.
-            // Binomial(r, p_here).
-            let mut p_c = (1.0 - p_here).powi(r as i32); // c = 0
-            for c in 0..=r {
-                if c > 0 {
-                    // Incremental binomial update:
-                    // P(c) = P(c-1) * (r-c+1)/c * p/(1-p)
-                    if p_here < 1.0 {
-                        p_c = p_c * ((r - c + 1) as f64) / (c as f64) * p_here / (1.0 - p_here);
-                    } else {
-                        p_c = if c == r { 1.0 } else { 0.0 };
-                    }
-                }
-                if p_c == 0.0 {
+        next.fill(0.0);
+        for r in 0..=a {
+            for mx in 0..width {
+                let prob = cur[r * width + mx];
+                if prob == 0.0 {
                     continue;
                 }
-                let load = base_j + c as u32;
-                let entry = next.entry((r - c, mx.max(load))).or_insert(0.0);
-                *entry += prob * p_c;
+                // Probability module j gets exactly c of the r balls.
+                // Binomial(r, p_here).
+                let mut p_c = (1.0 - p_here).powi(r as i32); // c = 0
+                for c in 0..=r {
+                    if c > 0 {
+                        // Incremental binomial update:
+                        // P(c) = P(c-1) * (r-c+1)/c * p/(1-p)
+                        if p_here < 1.0 {
+                            p_c = p_c * ((r - c + 1) as f64) / (c as f64) * p_here / (1.0 - p_here);
+                        } else {
+                            p_c = if c == r { 1.0 } else { 0.0 };
+                        }
+                    }
+                    if p_c == 0.0 {
+                        continue;
+                    }
+                    let load = base_j as usize + c;
+                    next[(r - c) * width + mx.max(load)] += prob * p_c;
+                }
             }
         }
-        cur = next;
+        std::mem::swap(&mut cur, &mut next);
     }
 
-    let mut dist = vec![0.0; max_possible + 1];
-    for (&(r, mx), &prob) in &cur {
-        debug_assert_eq!(r, 0);
-        dist[mx as usize] += prob;
-    }
-    dist
+    // Every ball is placed after the last module: only r = 0 remains.
+    debug_assert!(cur[width..].iter().all(|&p| p == 0.0));
+    cur.truncate(width);
+    cur
 }
 
 /// Expected max-load (`Σ i·p(i)`), the per-instruction expected transfer
@@ -78,9 +86,12 @@ pub fn expected_maxload(base: &[u32], a: usize) -> f64 {
 
 /// Memoizing wrapper keyed by the (sorted) base-load vector and array count —
 /// in practice almost every instruction hits one of a handful of signatures.
+/// Each distinct signature is stored once and gets a stable index, so a
+/// per-word plan can refer to its entry without holding a copy.
 #[derive(Default)]
 pub struct MaxloadTable {
-    cache: HashMap<(Vec<u32>, usize), (f64, Vec<f64>)>,
+    index: HashMap<(Vec<u32>, usize), usize>,
+    entries: Vec<(f64, Vec<f64>)>,
 }
 
 impl MaxloadTable {
@@ -89,17 +100,33 @@ impl MaxloadTable {
         MaxloadTable::default()
     }
 
-    /// `(expected max-load, distribution)` for the given base loads and
-    /// array-access count. The base vector is sorted internally (the
-    /// distribution is permutation-invariant).
-    pub fn lookup(&mut self, base: &[u32], a: usize) -> &(f64, Vec<f64>) {
+    /// Index of the `(expected max-load, distribution)` entry for the given
+    /// base loads and array-access count, computing it on first use. The
+    /// base vector is sorted internally (the distribution is
+    /// permutation-invariant).
+    pub fn intern(&mut self, base: &[u32], a: usize) -> usize {
         let mut key: Vec<u32> = base.to_vec();
         key.sort_unstable_by(|x, y| y.cmp(x));
-        self.cache.entry((key.clone(), a)).or_insert_with(|| {
-            let dist = maxload_distribution(&key, a);
+        let entries = &mut self.entries;
+        *self.index.entry((key, a)).or_insert_with_key(|(key, a)| {
+            let dist = maxload_distribution(key, *a);
             let e = dist.iter().enumerate().map(|(i, &p)| i as f64 * p).sum();
-            (e, dist)
+            entries.push((e, dist));
+            entries.len() - 1
         })
+    }
+
+    /// `(expected max-load, distribution)` for the given base loads and
+    /// array-access count.
+    pub fn lookup(&mut self, base: &[u32], a: usize) -> &(f64, Vec<f64>) {
+        let i = self.intern(base, a);
+        &self.entries[i]
+    }
+
+    /// The interned entries, indexed as [`intern`](MaxloadTable::intern)
+    /// returned them.
+    pub fn into_entries(self) -> Vec<(f64, Vec<f64>)> {
+        self.entries
     }
 }
 
@@ -181,7 +208,22 @@ mod tests {
         let (e1, _) = t.lookup(&[1, 0, 0, 1], 2).clone();
         let (e2, _) = t.lookup(&[0, 1, 1, 0], 2).clone();
         assert_eq!(e1, e2);
-        assert_eq!(t.cache.len(), 1);
+        assert_eq!(t.entries.len(), 1);
+        assert_eq!(t.intern(&[0, 0, 1, 1], 2), t.intern(&[1, 1, 0, 0], 2));
+    }
+
+    #[test]
+    fn distribution_is_bit_reproducible() {
+        // The t_ave columns are sums of these entries; equal inputs must
+        // give equal bits, whichever table computed them.
+        for base in [vec![1u32, 1, 0, 0], vec![2, 1, 1, 0, 0, 0, 0, 0]] {
+            for a in 0..5 {
+                let x = maxload_distribution(&base, a);
+                let y = maxload_distribution(&base, a);
+                let bits = |d: &[f64]| d.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&y), "base {base:?}, a {a}");
+            }
+        }
     }
 
     #[test]

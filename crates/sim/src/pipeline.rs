@@ -5,9 +5,12 @@
 //! [`schedule_stage`], [`assign`]) so callers can time and instrument them
 //! separately.
 
+use std::sync::Arc;
+
 use liw_ir::tac::TacProgram;
 use liw_sched::{MachineSpec, SchedProgram};
 use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
+use parmem_core::layout::MemoryLayout;
 use parmem_core::strategies::{run_strategy, Strategy};
 
 use crate::arrays::ArrayPlacement;
@@ -171,7 +174,23 @@ impl Table2Row {
     }
 }
 
-/// Produce a Table 2 row by simulating under the four array policies.
+/// One execution costed for Table 2: the row, plus what a pipeline job
+/// needs beside it.
+#[derive(Clone, Debug)]
+pub struct Table2Run {
+    /// The Table 2 measurements.
+    pub row: Table2Row,
+    /// Full statistics of the interleaved run (the job's words, cycles and
+    /// output).
+    pub interleaved: SimStats,
+    /// Transfer time under the compile-time planned layout, when one was
+    /// given.
+    pub t_planned: Option<u64>,
+}
+
+/// Produce a Table 2 row by executing the program once and costing it under
+/// the four array policies (ideal, uniform random, interleaved, same
+/// module), plus the compile-time `planned` layout when one is given.
 ///
 /// `seed` is the user-level base seed; the uniform-random policy actually
 /// runs with [`crate::arrays::uniform_seed`]`(seed, workload_digest)` so
@@ -182,20 +201,32 @@ pub fn table2_row(
     sched: &SchedProgram,
     assignment: &Assignment,
     seed: u64,
-) -> Result<Table2Row, SimError> {
+    planned: Option<Arc<MemoryLayout>>,
+) -> Result<Table2Run, SimError> {
     let seed = crate::arrays::uniform_seed(seed, sched.workload_digest());
-    let ideal = machine::run(sched, assignment, ArrayPlacement::Ideal)?;
-    let rand = machine::run(sched, assignment, ArrayPlacement::UniformRandom(seed))?;
-    let inter = machine::run(sched, assignment, ArrayPlacement::Interleaved)?;
-    let worst = machine::run(sched, assignment, ArrayPlacement::SameModule(0))?;
-    Ok(Table2Row {
-        program: name.to_string(),
-        modules: sched.spec.modules,
-        t_min: ideal.transfer_time,
-        t_ave_analytic: ideal.expected_transfer_time,
-        t_ave_measured: rand.transfer_time,
-        t_interleaved: inter.transfer_time,
-        t_max: worst.transfer_time,
+    let mut policies = vec![
+        ArrayPlacement::Ideal,
+        ArrayPlacement::UniformRandom(seed),
+        ArrayPlacement::Interleaved,
+        ArrayPlacement::SameModule(0),
+    ];
+    policies.extend(planned.map(ArrayPlacement::Planned));
+    let mut runs = machine::run_policies(sched, assignment, &policies)?.into_iter();
+    let mut next = || runs.next().expect("one result per policy");
+    let (ideal, rand, inter, worst) = (next(), next(), next(), next());
+    let t_planned = runs.next().map(|s| s.transfer_time);
+    Ok(Table2Run {
+        row: Table2Row {
+            program: name.to_string(),
+            modules: sched.spec.modules,
+            t_min: ideal.transfer_time,
+            t_ave_analytic: ideal.expected_transfer_time,
+            t_ave_measured: rand.transfer_time,
+            t_interleaved: inter.transfer_time,
+            t_max: worst.transfer_time,
+        },
+        interleaved: inter,
+        t_planned,
     })
 }
 
@@ -335,7 +366,7 @@ mod tests {
     fn table2_row_orders_policies() {
         let prog = compile(PROG, MachineSpec::with_modules(8)).unwrap();
         let (a, _) = assign(&prog.sched, Strategy::Stor1, &AssignParams::default());
-        let row = table2_row("demo", &prog.sched, &a, 42).unwrap();
+        let row = table2_row("demo", &prog.sched, &a, 42, None).unwrap().row;
         assert!(row.t_min <= row.t_ave_measured);
         assert!(row.t_ave_measured <= row.t_max);
         assert!(row.ave_ratio() >= 1.0);

@@ -14,6 +14,7 @@ use liw_ir::tac::{BlockId, TacProgram, VarId};
 use liw_ir::webs::Webs;
 use liw_sched::{SchedProgram, SchedTerm};
 use parmem_lint::analyses as lint;
+use parmem_lint::BitSet;
 
 use crate::diag::{Code, Diagnostic};
 
@@ -221,14 +222,29 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
         }
     }
 
+    // Dense sets over every value the program mentions (malformed programs
+    // may name values past `n_values`).
+    let universe = sched
+        .blocks
+        .iter()
+        .flat_map(|b| {
+            let ops = b.words.iter().flat_map(|w| &w.ops);
+            ops.flat_map(|o| o.scalar_reads().into_iter().chain(o.writes()))
+                .chain(b.term.cond_web())
+        })
+        .chain(sched.entry_value.iter().copied())
+        .map(|v| v as usize + 1)
+        .fold(n, usize::max);
+
     // Per-block defs, plus PM104 (double write within one word).
-    let mut defs_b: Vec<HashSet<u32>> = vec![HashSet::new(); nb];
+    let mut defs_b: Vec<BitSet> = vec![BitSet::new(universe); nb];
+    let mut written: Vec<u32> = Vec::new();
     for (bi, b) in sched.blocks.iter().enumerate() {
         for (wi, word) in b.words.iter().enumerate() {
-            let mut written: HashSet<u32> = HashSet::new();
+            written.clear();
             for op in &word.ops {
                 if let Some(d) = op.writes() {
-                    if !written.insert(d) {
+                    if written.contains(&d) {
                         diags.push(
                             Diagnostic::new(
                                 Code::PM104,
@@ -237,8 +253,10 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
                             .with_value(d)
                             .in_block(bi as u32),
                         );
+                    } else {
+                        written.push(d);
                     }
-                    defs_b[bi].insert(d);
+                    defs_b[bi].insert(d as usize);
                 }
             }
         }
@@ -247,21 +265,22 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
     // Definitely-assigned forward must analysis. Entry starts with the
     // entry webs; all other blocks start at ⊤ (everything assigned) and are
     // narrowed by intersection over predecessors.
-    let entry_defined: HashSet<u32> = sched.entry_value.iter().copied().collect();
-    let full: HashSet<u32> = (0..n as u32).collect();
-    let mut inb: Vec<HashSet<u32>> = vec![full.clone(); nb];
-    let mut outb: Vec<HashSet<u32>> = vec![full.clone(); nb];
-    inb[sched.entry.index()] = entry_defined.clone();
-    outb[sched.entry.index()] = {
-        let mut o = entry_defined.clone();
-        o.extend(defs_b[sched.entry.index()].iter().copied());
-        o
-    };
+    let mut entry_defined = BitSet::new(universe);
+    for &v in &sched.entry_value {
+        entry_defined.insert(v as usize);
+    }
+    let full = BitSet::full(universe);
+    let mut inb: Vec<BitSet> = vec![full.clone(); nb];
+    let mut outb: Vec<BitSet> = vec![full.clone(); nb];
+    let entry = sched.entry.index();
+    outb[entry] = entry_defined.clone();
+    outb[entry].union_with(&defs_b[entry]);
+    inb[entry] = entry_defined;
 
     // Reachability-restricted iteration (unreachable blocks keep ⊤ and are
     // skipped below).
     let mut reachable = vec![false; nb];
-    let mut stack = vec![sched.entry.index()];
+    let mut stack = vec![entry];
     while let Some(b) = stack.pop() {
         if std::mem::replace(&mut reachable[b], true) {
             continue;
@@ -273,17 +292,17 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
     while changed {
         changed = false;
         for bi in 0..nb {
-            if !reachable[bi] || bi == sched.entry.index() {
+            if !reachable[bi] || bi == entry {
                 continue;
             }
             let mut new_in = full.clone();
             for &p in &preds[bi] {
                 if reachable[p] {
-                    new_in.retain(|v| outb[p].contains(v));
+                    new_in.intersect_with(&outb[p]);
                 }
             }
             let mut new_out = new_in.clone();
-            new_out.extend(defs_b[bi].iter().copied());
+            new_out.union_with(&defs_b[bi]);
             if new_in != inb[bi] || new_out != outb[bi] {
                 changed = true;
             }
@@ -310,7 +329,7 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
             reads.sort_unstable();
             reads.dedup();
             for r in reads {
-                if !defined.contains(&r) {
+                if !defined.contains(r as usize) {
                     diags.push(
                         Diagnostic::new(
                             Code::PM103,
@@ -326,7 +345,7 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
             }
             for op in &word.ops {
                 if let Some(d) = op.writes() {
-                    defined.insert(d);
+                    defined.insert(d as usize);
                 }
             }
         }

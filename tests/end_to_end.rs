@@ -68,7 +68,9 @@ fn timing_inequalities_hold_for_every_benchmark() {
         let session = plain(8);
         let prog = session.compile(b.source).unwrap();
         let (a, _) = session.assign(&prog);
-        let row = sim::table2_row(b.name, &prog.sched, &a, 7).unwrap();
+        let row = sim::table2_row(b.name, &prog.sched, &a, 7, None)
+            .unwrap()
+            .row;
         assert!(row.t_min > 0, "{}", b.name);
         assert!(
             row.t_min <= row.t_ave_measured && row.t_ave_measured <= row.t_max,

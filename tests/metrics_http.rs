@@ -9,7 +9,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Families every scrape must expose, whatever the process is doing.
 const EXPECTED_ALWAYS: &[&str] = &[
@@ -90,6 +90,18 @@ fn families(body: &str) -> Vec<&str> {
         .collect()
 }
 
+/// Whether a scrape shows everything a completed `synth --assign` run
+/// exposes: every expected family and the `assign.components` progress
+/// gauge.
+fn synth_assign_complete(body: &str) -> bool {
+    let fams = families(body);
+    EXPECTED_ALWAYS
+        .iter()
+        .chain(EXPECTED_SYNTH_ASSIGN)
+        .all(|name| fams.contains(name))
+        && body.contains("parmem_progress_done{phase=\"assign.components\"}")
+}
+
 fn scrape_value(body: &str, name: &str) -> Option<f64> {
     body.lines()
         .find(|l| l.starts_with(name) && !l.starts_with('#'))
@@ -136,8 +148,9 @@ fn serve_metrics_stub_serves_conformant_text_twice() {
 
 #[test]
 fn synth_assign_serves_live_metrics_while_running() {
-    // 10^4-value synthetic workload; the linger keeps the endpoint up long
-    // enough to take both readings even if assignment outraces the scraper.
+    // 10^4-value synthetic workload; the linger keeps the endpoint up for
+    // LINGER_MS after the assignment finishes.
+    const LINGER_MS: u64 = 4000;
     let mut child = spawn_parmem(
         &[
             "synth",
@@ -147,7 +160,7 @@ fn synth_assign_serves_live_metrics_while_running() {
             "--metrics-addr",
             "127.0.0.1:0",
         ],
-        Some(4000),
+        Some(LINGER_MS),
     );
     let (port, mut reader) = wait_for_port(&mut child);
     // Keep draining stderr so the child never blocks on a full pipe.
@@ -160,10 +173,18 @@ fn synth_assign_serves_live_metrics_while_running() {
     let (status, first) = http_get(port, "/metrics");
     assert!(status.contains("200"), "first scrape: {status}");
 
-    // Give the pipeline a moment, then diff the family set against the
-    // expected-names list on a second scrape.
-    std::thread::sleep(Duration::from_millis(500));
-    let (_, second) = http_get(port, "/metrics");
+    // Poll until the run has published everything. The child lives until
+    // its assignment ends plus the linger: if the assignment was still
+    // running at the first scrape, this deadline falls inside that life;
+    // if it had finished, the first poll already sees everything.
+    let deadline = Instant::now() + Duration::from_millis(LINGER_MS);
+    let second = loop {
+        let (_, body) = http_get(port, "/metrics");
+        if synth_assign_complete(&body) || Instant::now() >= deadline {
+            break body;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
     let fams = families(&second);
     let missing: Vec<&&str> = EXPECTED_ALWAYS
         .iter()
