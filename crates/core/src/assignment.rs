@@ -9,14 +9,12 @@
 //!    placement — either the backtracking algorithm (Fig. 6) or the
 //!    hitting-set algorithm (Figs. 7/9/10).
 
-use std::collections::HashSet;
-
 use crate::atoms;
 use crate::coloring::{color_graph, ModuleChoice};
 use crate::duplication::{backtrack_duplicate, hitting_set_duplicate};
 use crate::graph::ConflictGraph;
 use crate::matching;
-use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId};
+use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
 
 /// Below this many vertices the per-component coloring fan-out stays on the
 /// calling thread regardless of `AssignParams::jobs`: paper-scale graphs gain
@@ -91,20 +89,30 @@ impl Assignment {
             .map(|(i, &s)| (ValueId(i as u32), s))
     }
 
-    /// Copy sets for an instruction's operands, in operand order.
-    pub fn operand_copy_sets(&self, inst: &OperandSet) -> Vec<ModuleSet> {
-        inst.iter().map(|v| self.copies(v)).collect()
+    /// Run `f` on the copy sets of `inst`'s operands, in operand order,
+    /// gathered on the stack (only an instruction wider than
+    /// [`MAX_MODULES`] gathers on the heap).
+    fn with_copy_sets<R>(&self, inst: &OperandSet, f: impl FnOnce(&[ModuleSet]) -> R) -> R {
+        let ops = inst.values();
+        if ops.len() > MAX_MODULES {
+            return f(&ops.iter().map(|&v| self.copies(v)).collect::<Vec<_>>());
+        }
+        let mut sets = [ModuleSet::EMPTY; MAX_MODULES];
+        for (set, &v) in sets.iter_mut().zip(ops) {
+            *set = self.copies(v);
+        }
+        f(&sets[..ops.len()])
     }
 
     /// Whether `inst` can fetch all operands in one parallel access.
     pub fn instruction_conflict_free(&self, inst: &OperandSet) -> bool {
-        matching::instruction_conflict_free(&self.operand_copy_sets(inst))
+        self.with_copy_sets(inst, matching::instruction_conflict_free)
     }
 
     /// Fetch makespan of `inst` (1 = conflict-free); `None` if an operand is
     /// unplaced.
     pub fn fetch_makespan(&self, inst: &OperandSet) -> Option<usize> {
-        matching::fetch_makespan(&self.operand_copy_sets(inst))
+        self.with_copy_sets(inst, matching::fetch_makespan)
     }
 
     /// Number of values with exactly one copy.
@@ -269,14 +277,14 @@ pub fn assign_trace_into(
 
     let mut n_atoms = 0usize;
     let mut unassigned: Vec<ValueId> = Vec::new();
-    let mut seen_unassigned: HashSet<ValueId> = HashSet::new();
+    let mut unassigned_mask = ValueMask::default();
     for cc in colored {
         n_atoms += cc.atoms;
         for (val, m) in cc.colors {
             assignment.add_copy(val, m);
         }
         for val in cc.unassigned {
-            if seen_unassigned.insert(val) {
+            if unassigned_mask.insert(val) {
                 unassigned.push(val);
             }
         }
@@ -299,7 +307,7 @@ pub fn assign_trace_into(
     // (cannot happen for well-formed traces, but keeps the conflict-free
     // invariant machine-checked). Only instructions with ≤ k operands can be
     // repaired at all.
-    let repair_copies = repair(trace, &unassigned, assignment);
+    let repair_copies = repair(trace, &unassigned_mask, assignment);
 
     parmem_obs::counter_add("assign.atoms", n_atoms as u64);
     parmem_obs::counter_add("assign.uncolorable", uncolored as u64);
@@ -588,9 +596,8 @@ fn merged_coloring_valid(
 /// Greedy last-resort fix: for each conflicting instruction with ≤ k
 /// operands, add copies of its duplicable operands until a matching exists.
 /// Returns the number of copies added (0 in normal operation).
-fn repair(trace: &AccessTrace, unassigned: &[ValueId], assignment: &mut Assignment) -> usize {
+fn repair(trace: &AccessTrace, dup_ok: &ValueMask, assignment: &mut Assignment) -> usize {
     let k = trace.modules;
-    let dup_ok: HashSet<ValueId> = unassigned.iter().copied().collect();
     let mut added = 0;
     for inst in &trace.instructions {
         if inst.len() > k || assignment.instruction_conflict_free(inst) {
@@ -627,7 +634,7 @@ fn repair(trace: &AccessTrace, unassigned: &[ValueId], assignment: &mut Assignme
             let free = ModuleSet::all(k).difference(occupied);
             let candidate = inst
                 .iter()
-                .filter(|v| dup_ok.contains(v) || !free.is_empty())
+                .filter(|&v| dup_ok.contains(v) || !free.is_empty())
                 .find(|&v| assignment.copies(v).len() < k);
             let Some(v) = candidate else { break };
             let target = free

@@ -13,12 +13,10 @@
 //!   minimum-hitting-set picks which values receive an additional copy, and
 //!   the Fig. 10 placement algorithm decides where each copy goes.
 
-use std::collections::{HashMap, HashSet};
-
 use crate::assignment::Assignment;
+use crate::layout::{place_values, DuplicationIndex};
 use crate::matching;
-use crate::placement::place_values;
-use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId};
+use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
 
 // ---------------------------------------------------------------------------
 // §2.2.1 Backtracking
@@ -40,7 +38,7 @@ pub fn backtrack_duplicate(
     let mut sp = parmem_obs::span("assign.dup.backtrack");
     sp.attr("unassigned", unassigned.len());
     let k = trace.modules;
-    let dup_ok: HashSet<ValueId> = unassigned.iter().copied().collect();
+    let dup_ok = ValueMask::new(unassigned);
 
     // Order: (|operands ∩ V_unassigned|, program index).
     let mut order: Vec<usize> = (0..trace.instructions.len())
@@ -49,7 +47,7 @@ pub fn backtrack_duplicate(
     order.sort_by_key(|&i| {
         let n_dup = trace.instructions[i]
             .iter()
-            .filter(|v| dup_ok.contains(v))
+            .filter(|&v| dup_ok.contains(v))
             .count();
         (n_dup, i)
     });
@@ -73,7 +71,7 @@ pub fn backtrack_duplicate(
 /// operand pair pinned to one module).
 fn best_instruction_placement(
     inst: &OperandSet,
-    dup_ok: &HashSet<ValueId>,
+    dup_ok: &ValueMask,
     assignment: &Assignment,
     k: usize,
 ) -> Option<Vec<(ValueId, ModuleId)>> {
@@ -88,7 +86,7 @@ fn best_instruction_placement(
         .map(|v| Op {
             value: v,
             existing: assignment.copies(v),
-            duplicable: dup_ok.contains(&v),
+            duplicable: dup_ok.contains(v),
         })
         .collect();
     // Most-constrained operands first: non-duplicable ones are limited to
@@ -162,6 +160,9 @@ fn best_instruction_placement(
 /// pairwise conflicts), then for each combination size `3..=k` compute the
 /// candidate sets of still-conflicting operand combinations, hit them with
 /// the Fig. 9 greedy heuristic, and place the resulting copies with Fig. 10.
+///
+/// One [`DuplicationIndex`] serves every step; it lives only as long as
+/// this call.
 pub fn hitting_set_duplicate(
     trace: &AccessTrace,
     unassigned: &[ValueId],
@@ -173,7 +174,7 @@ pub fn hitting_set_duplicate(
     }
     let mut sp = parmem_obs::span("assign.dup.hitting_set");
     sp.attr("unassigned", unassigned.len());
-    let dup_set: HashSet<ValueId> = unassigned.iter().copied().collect();
+    let mut index = DuplicationIndex::new(trace, unassigned, assignment);
 
     // First copies of every value in V_unassigned.
     let need_first: Vec<ValueId> = unassigned
@@ -181,7 +182,7 @@ pub fn hitting_set_duplicate(
         .copied()
         .filter(|&v| !assignment.is_placed(v))
         .collect();
-    place_values(trace, &dup_set, &need_first, assignment);
+    place_values(trace, &mut index, &need_first, assignment);
 
     // Second copies (conflicts between operand *pairs* disappear once every
     // duplicable value has two copies).
@@ -191,17 +192,17 @@ pub fn hitting_set_duplicate(
             .copied()
             .filter(|&v| assignment.copies(v).len() == 1)
             .collect();
-        place_values(trace, &dup_set, &need_second, assignment);
+        place_values(trace, &mut index, &need_second, assignment);
     }
 
     // Combinations of 3..=k operands.
     for num in 3..=k {
-        let family = conflicting_candidate_sets(trace, &dup_set, assignment, num);
+        let family = conflicting_candidate_sets(trace, &index, assignment, num);
         if family.is_empty() {
             continue;
         }
         let hs = hitting_set(&family, k);
-        place_values(trace, &dup_set, &hs, assignment);
+        place_values(trace, &mut index, &hs, assignment);
     }
 }
 
@@ -209,71 +210,66 @@ pub fn hitting_set_duplicate(
 /// still has a memory access conflict, the set of its members that may be
 /// duplicated further (in `V_unassigned`, with spare modules). Deduplicated
 /// and sorted for determinism.
+///
+/// Only the index's still-conflicting instructions are enumerated: every
+/// combination drawn from a conflict-free instruction is itself
+/// conflict-free, and an instruction without a `V_unassigned` operand has
+/// no candidates.
 pub fn conflicting_candidate_sets(
     trace: &AccessTrace,
-    dup_set: &HashSet<ValueId>,
+    index: &DuplicationIndex,
     assignment: &Assignment,
     num: usize,
 ) -> Vec<Vec<ValueId>> {
     let k = trace.modules;
-    let mut seen_combo: HashSet<Vec<ValueId>> = HashSet::new();
     let mut family: Vec<Vec<ValueId>> = Vec::new();
-
-    for inst in &trace.instructions {
-        if inst.len() < num || inst.len() > k {
+    for inst in index.conflicting_instructions(trace) {
+        let ops = inst.values();
+        if ops.len() < num || ops.len() > k {
             continue;
         }
-        let ops: Vec<ValueId> = inst.iter().collect();
-        for combo in combinations(&ops, num) {
-            if !seen_combo.insert(combo.clone()) {
-                continue;
+        // Operand positions of the current combination, in lexicographic
+        // order (starting at 0..num), and the members' copy sets.
+        let mut combo: [usize; MAX_MODULES] = std::array::from_fn(|i| i);
+        let mut sets = [ModuleSet::EMPTY; MAX_MODULES];
+        loop {
+            for (set, &c) in sets.iter_mut().zip(&combo[..num]) {
+                *set = assignment.copies(ops[c]);
             }
-            let sets: Vec<ModuleSet> = combo.iter().map(|&v| assignment.copies(v)).collect();
-            if matching::instruction_conflict_free(&sets) {
-                continue;
+            if !matching::instruction_conflict_free(&sets[..num]) {
+                let cand: Vec<ValueId> = combo[..num]
+                    .iter()
+                    .map(|&c| ops[c])
+                    .filter(|&v| index.is_unassigned(v) && assignment.copies(v).len() < k)
+                    .collect();
+                if !cand.is_empty() {
+                    family.push(cand);
+                }
             }
-            let cand: Vec<ValueId> = combo
-                .iter()
-                .copied()
-                .filter(|v| dup_set.contains(v) && assignment.copies(*v).len() < k)
-                .collect();
-            if !cand.is_empty() {
-                family.push(cand);
+            if !next_combination(&mut combo[..num], ops.len()) {
+                break;
             }
         }
     }
-    family.sort();
+    family.sort_unstable();
     family.dedup();
     family
 }
 
-fn combinations(items: &[ValueId], r: usize) -> Vec<Vec<ValueId>> {
-    let mut out = Vec::new();
-    let mut idx: Vec<usize> = (0..r).collect();
-    if r > items.len() {
-        return out;
-    }
-    loop {
-        out.push(idx.iter().map(|&i| items[i]).collect());
-        // Advance.
-        let mut i = r;
-        loop {
-            if i == 0 {
-                return out;
+/// Advance `combo` (ascending positions into `0..n`) to the next
+/// combination in lexicographic order; false after the last one.
+fn next_combination(combo: &mut [usize], n: usize) -> bool {
+    let r = combo.len();
+    for i in (0..r).rev() {
+        if combo[i] != i + n - r {
+            combo[i] += 1;
+            for j in i + 1..r {
+                combo[j] = combo[j - 1] + 1;
             }
-            i -= 1;
-            if idx[i] != i + items.len() - r {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
-        }
-        idx[i] += 1;
-        for j in i + 1..r {
-            idx[j] = idx[j - 1] + 1;
+            return true;
         }
     }
+    false
 }
 
 /// Greedy hitting-set heuristic (Fig. 9). `sets` are the candidate sets
@@ -284,31 +280,39 @@ fn combinations(items: &[ValueId], r: usize) -> Vec<Vec<ValueId>> {
 ///
 /// Worst-case ratio vs. optimal is the harmonic bound `H_m` (paper §2.2.2.2).
 pub fn hitting_set(sets: &[Vec<ValueId>], k: usize) -> Vec<ValueId> {
-    let mut hs: HashSet<ValueId> = HashSet::new();
+    // Every per-value table is indexed by the value's rank among the
+    // distinct members.
+    let mut members: Vec<ValueId> = sets.iter().flatten().copied().collect();
+    members.sort_unstable();
+    members.dedup();
+    let rank = |v: ValueId| members.binary_search(&v).expect("v is a member");
 
     // Occurrence profile S[v][p] = number of sets of size p containing v.
-    let mut profile: HashMap<ValueId, Vec<usize>> = HashMap::new();
+    let mut profile = vec![0usize; members.len() * (k + 1)];
     for s in sets {
         let p = s.len().min(k);
         for &v in s {
-            profile.entry(v).or_insert_with(|| vec![0; k + 1])[p] += 1;
+            profile[rank(v) * (k + 1) + p] += 1;
         }
     }
+    let tail =
+        |v: ValueId, size: usize| &profile[rank(v) * (k + 1) + size..(rank(v) + 1) * (k + 1)];
 
     // Forced singletons.
+    let mut chosen = vec![false; members.len()];
     for s in sets {
         if s.len() == 1 {
-            hs.insert(s[0]);
+            chosen[rank(s[0])] = true;
         }
     }
 
     // Deterministic order: sets sorted by (size, contents).
     let mut ordered: Vec<&Vec<ValueId>> = sets.iter().collect();
-    ordered.sort_by_key(|s| (s.len(), (*s).clone()));
+    ordered.sort_by_key(|s| (s.len(), *s));
 
     for size in 2..=k {
         for s in ordered.iter().filter(|s| s.len() == size) {
-            if s.iter().any(|v| hs.contains(v)) {
+            if s.iter().any(|&v| chosen[rank(v)]) {
                 continue;
             }
             // Lexicographically largest (S_{v,size}, .., S_{v,k}); ties to
@@ -316,19 +320,17 @@ pub fn hitting_set(sets: &[Vec<ValueId>], k: usize) -> Vec<ValueId> {
             let vn = s
                 .iter()
                 .copied()
-                .max_by(|&a, &b| {
-                    let pa = &profile[&a];
-                    let pb = &profile[&b];
-                    pa[size..=k].cmp(&pb[size..=k]).then(b.cmp(&a))
-                })
+                .max_by(|&a, &b| tail(a, size).cmp(tail(b, size)).then(b.cmp(&a)))
                 .expect("candidate sets are non-empty");
-            hs.insert(vn);
+            chosen[rank(vn)] = true;
         }
     }
 
-    let mut out: Vec<ValueId> = hs.into_iter().collect();
-    out.sort_unstable();
-    out
+    members
+        .into_iter()
+        .zip(chosen)
+        .filter_map(|(v, c)| c.then_some(v))
+        .collect()
 }
 
 #[cfg(test)]
@@ -499,15 +501,24 @@ mod tests {
 
     #[test]
     fn combinations_enumerate_correctly() {
-        let items = vids(&[1, 2, 3, 4]);
-        let c2 = combinations(&items, 2);
-        assert_eq!(c2.len(), 6);
-        let c4 = combinations(&items, 4);
-        assert_eq!(c4.len(), 1);
-        let c5 = combinations(&items, 5);
-        assert!(c5.is_empty());
-        let c0 = combinations(&items, 0);
-        assert_eq!(c0.len(), 1, "one empty combination");
+        let all = |n: usize, r: usize| {
+            let mut combo: Vec<usize> = (0..r).collect();
+            let mut out = vec![combo.clone()];
+            while next_combination(&mut combo, n) {
+                out.push(combo.clone());
+            }
+            out
+        };
+        assert_eq!(
+            all(4, 2),
+            [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]].map(Vec::from)
+        );
+        assert_eq!(all(4, 4), vec![vec![0, 1, 2, 3]]);
+        assert_eq!(
+            all(4, 0),
+            vec![Vec::<usize>::new()],
+            "one empty combination"
+        );
     }
 
     #[test]
@@ -518,8 +529,8 @@ mod tests {
         a.add_copy(ValueId(2), ModuleId(1));
         a.add_copy(ValueId(3), ModuleId(0));
         a.add_copy(ValueId(3), ModuleId(1));
-        let dup: HashSet<ValueId> = vids(&[3]).into_iter().collect();
-        let fam = conflicting_candidate_sets(&t, &dup, &a, 3);
+        let index = DuplicationIndex::new(&t, &vids(&[3]), &a);
+        let fam = conflicting_candidate_sets(&t, &index, &a, 3);
         // {1,2,3} conflicts (V3 confined to M0/M1, both taken) → candidate {3}.
         assert_eq!(fam, vec![vids(&[3])]);
     }

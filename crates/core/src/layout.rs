@@ -24,13 +24,13 @@
 //!   planner falls back to the hash distribution to break the resonance.
 //!
 //! The module also hosts the paper's Fig. 10 copy-placement algorithm
-//! ([`place_values`]) — the scalar half of layout planning — which
-//! historically lived in `placement.rs` (still re-exported there).
+//! ([`place_values`]) — the scalar half of layout planning — and the
+//! [`DuplicationIndex`] it keeps current across one hitting-set run.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
 
 use crate::assignment::Assignment;
-use crate::types::{AccessTrace, ModuleId, ModuleSet, ValueId};
+use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
 
 /// The compile-time array-placement policy knob surfaced by the driver,
 /// the CLI (`--array-policy`), and the serve protocol.
@@ -314,8 +314,129 @@ pub fn plan(
     }
 }
 
+/// The trace as the duplication stage sees it: built once per hitting-set
+/// run and kept current across its [`place_values`] calls.
+///
+/// Only instructions with an operand in `V_unassigned` are indexed. The
+/// stage copies no other value, so no other instruction can change its
+/// conflict status or contribute a candidate set.
+#[derive(Debug)]
+pub struct DuplicationIndex {
+    unassigned: ValueMask,
+    /// Trace position of each indexed instruction, ascending.
+    insts: Vec<u32>,
+    /// Fig. 10 group of each indexed instruction, in `1..=k`.
+    group: Vec<u8>,
+    /// Whether each indexed instruction (of at most `k` operands) still
+    /// conflicts. Adding a copy only ever clears a conflict, and
+    /// [`place_values`] re-checks every instruction of a value it copies,
+    /// so each flag equals a fresh check of its instruction.
+    conflicting: Vec<bool>,
+    /// The indexed instructions value `v` occurs in are
+    /// `occ[occ_start[v]..occ_start[v + 1]]`, for `v` in `V_unassigned`.
+    occ_start: Vec<u32>,
+    occ: Vec<u32>,
+}
+
+impl DuplicationIndex {
+    /// Index `trace` for duplicating the values in `unassigned`, reading
+    /// conflict status from `assignment` as it stands.
+    pub fn new(
+        trace: &AccessTrace,
+        unassigned: &[ValueId],
+        assignment: &Assignment,
+    ) -> DuplicationIndex {
+        let k = trace.modules;
+        let mask = ValueMask::new(unassigned);
+        let table_len = unassigned.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        let mut occ_start = vec![0u32; table_len + 1];
+        let (mut insts, mut group, mut conflicting) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, inst) in trace.instructions.iter().enumerate() {
+            let mut dup = 0;
+            for v in inst.iter().filter(|&v| mask.contains(v)) {
+                occ_start[v.index() + 1] += 1;
+                dup += 1;
+            }
+            if dup == 0 {
+                continue;
+            }
+            // The paper groups by the number of single-copy operands, most
+            // constrained first (Fig. 10 / §2.2.2.2). For a k-operand
+            // instruction, "i operands in V_unassigned" ⇔ "k−i single-copy
+            // operands"; for shorter instructions the unused operand slots
+            // also add slack, so the group is the instruction's degrees of
+            // freedom: duplicable operands + empty slots. Group 1 = exactly
+            // one way out.
+            insts.push(i as u32);
+            group.push((dup + k.saturating_sub(inst.len())).min(k) as u8);
+            conflicting.push(inst.len() <= k && !assignment.instruction_conflict_free(inst));
+        }
+        for v in 0..table_len {
+            occ_start[v + 1] += occ_start[v];
+        }
+        let mut occ = vec![0u32; occ_start[table_len] as usize];
+        let mut cursor = occ_start.clone();
+        for (pos, &i) in insts.iter().enumerate() {
+            for v in trace.instructions[i as usize].iter() {
+                if mask.contains(v) {
+                    occ[cursor[v.index()] as usize] = pos as u32;
+                    cursor[v.index()] += 1;
+                }
+            }
+        }
+        DuplicationIndex {
+            unassigned: mask,
+            insts,
+            group,
+            conflicting,
+            occ_start,
+            occ,
+        }
+    }
+
+    /// True if `v` is in `V_unassigned`.
+    pub(crate) fn is_unassigned(&self, v: ValueId) -> bool {
+        self.unassigned.contains(v)
+    }
+
+    /// The indexed instructions that still conflict, in trace order.
+    pub(crate) fn conflicting_instructions<'t>(
+        &'t self,
+        trace: &'t AccessTrace,
+    ) -> impl Iterator<Item = &'t OperandSet> + 't {
+        self.insts
+            .iter()
+            .zip(&self.conflicting)
+            .filter(|&(_, &c)| c)
+            .map(|(&i, _)| &trace.instructions[i as usize])
+    }
+
+    /// Positions (into the index) of the instructions `v` occurs in.
+    fn occurrences(&self, v: ValueId) -> &[u32] {
+        let (lo, hi) = (self.occ_start[v.index()], self.occ_start[v.index() + 1]);
+        &self.occ[lo as usize..hi as usize]
+    }
+
+    /// Per-group count of the conflicting instructions among `positions`
+    /// for which `keep` holds: entry `g − 1` counts group `I_g`.
+    fn group_counts(&self, positions: &[u32], mut keep: impl FnMut(u32) -> bool) -> GroupCounts {
+        let mut counts = [0u32; MAX_MODULES];
+        for &p in positions {
+            if self.conflicting[p as usize] && keep(p) {
+                counts[usize::from(self.group[p as usize]) - 1] += 1;
+            }
+        }
+        counts
+    }
+}
+
+/// Instruction counts per Fig. 10 group `I_1..I_k` (unused entries zero);
+/// compared lexicographically, so group `I_1` weighs most.
+type GroupCounts = [u32; MAX_MODULES];
+
 /// Place exactly one new copy of each value in `values` (in the paper's
-/// grouped priority order), updating `assignment`.
+/// grouped priority order), updating `assignment` and the conflict flags of
+/// `index`.
 ///
 /// The placement algorithm of paper Fig. 10 — decide *which module* receives
 /// each new copy scheduled by the duplication phase. Instructions with
@@ -328,44 +449,22 @@ pub fn plan(
 /// we use deterministic tie-breaks (fewest pairwise clashes, then lightest
 /// module, then lowest index) so runs are reproducible.
 ///
-/// `unassigned` is the full `V_unassigned` set — it defines the instruction
-/// grouping. Values already holding copies in every module are skipped.
+/// Every value in `values` must be in the index's `V_unassigned`. Values
+/// already holding copies in every module are skipped.
 pub fn place_values(
     trace: &AccessTrace,
-    unassigned: &HashSet<ValueId>,
+    index: &mut DuplicationIndex,
     values: &[ValueId],
     assignment: &mut Assignment,
 ) {
     let k = trace.modules;
-    if values.is_empty() || k == 0 {
+    debug_assert!(values.iter().all(|&v| index.is_unassigned(v)));
+    if values.is_empty() {
         return;
     }
 
-    // Group index per instruction — the paper groups by the number of
-    // single-copy operands, most constrained first (Fig. 10 / §2.2.2.2).
-    // For a k-operand instruction, "i operands in V_unassigned" ⇔ "k−i
-    // single-copy operands"; for shorter instructions the unused operand
-    // slots also add slack, so the group index is the instruction's degrees
-    // of freedom: duplicable operands + empty slots. Group 1 = exactly one
-    // way out.
-    let group_of: Vec<usize> = trace
-        .instructions
-        .iter()
-        .map(|inst| {
-            let dup = inst.iter().filter(|v| unassigned.contains(v)).count();
-            dup + k.saturating_sub(inst.len())
-        })
-        .collect();
-
-    // Live set of currently conflicting instruction indices (≤ k operands).
-    let mut conflicting: Vec<bool> = trace
-        .instructions
-        .iter()
-        .map(|inst| inst.len() <= k && !assignment.instruction_conflict_free(inst))
-        .collect();
-
     // Per-module copy load for tie-breaking.
-    let mut load = vec![0usize; k];
+    let mut load = [0usize; MAX_MODULES];
     for (_, set) in assignment.placed_values() {
         for m in set.iter() {
             load[m.index()] += 1;
@@ -373,48 +472,14 @@ pub fn place_values(
     }
 
     // Order the values: descending lexicographic count of conflicting
-    // instructions containing the value, per group I_1..I_k.
-    let mut ordered: Vec<ValueId> = {
-        let mut uniq: Vec<ValueId> = values.to_vec();
-        uniq.sort_unstable();
-        uniq.dedup();
-        uniq
-    };
+    // instructions containing the value, per group I_1..I_k; the sort is
+    // stable, so ties keep ascending value order.
+    let mut ordered: Vec<ValueId> = values.to_vec();
+    ordered.sort_unstable();
+    ordered.dedup();
+    ordered.sort_by_cached_key(|&v| Reverse(index.group_counts(index.occurrences(v), |_| true)));
 
-    // Inverted occurrence index: the instruction indices containing each
-    // value to place, built in one trace scan. Every use below (priority
-    // vectors, the live conflict set, the clash tie-break) walks only a
-    // value's own occurrences instead of the whole trace — the difference
-    // between O(U·I) and O(total occurrences) when U and I are both large.
-    let slot: HashMap<ValueId, usize> = ordered.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-    let mut occ: Vec<Vec<u32>> = vec![Vec::new(); ordered.len()];
-    for (idx, inst) in trace.instructions.iter().enumerate() {
-        for v in inst.iter() {
-            if let Some(&s) = slot.get(&v) {
-                occ[s].push(idx as u32);
-            }
-        }
-    }
-
-    let count_vector = |v: ValueId, conflicting: &[bool]| -> Vec<usize> {
-        let mut counts = vec![0usize; k + 1];
-        for &idx in &occ[slot[&v]] {
-            let idx = idx as usize;
-            if conflicting[idx] && group_of[idx] >= 1 {
-                counts[group_of[idx].min(k)] += 1;
-            }
-        }
-        counts
-    };
-    {
-        let snapshot = conflicting.clone();
-        ordered.sort_by(|&a, &b| {
-            count_vector(b, &snapshot)
-                .cmp(&count_vector(a, &snapshot))
-                .then(a.cmp(&b))
-        });
-    }
-
+    let mut relevant: Vec<u32> = Vec::new();
     for v in ordered {
         let existing = assignment.copies(v);
         let candidates = ModuleSet::all(k).difference(existing);
@@ -423,39 +488,40 @@ pub fn place_values(
         }
 
         // Instructions that contain v and currently conflict.
-        let relevant: Vec<usize> = occ[slot[&v]]
-            .iter()
-            .map(|&idx| idx as usize)
-            .filter(|&idx| conflicting[idx])
-            .collect();
+        relevant.clear();
+        relevant.extend(
+            index
+                .occurrences(v)
+                .iter()
+                .copied()
+                .filter(|&p| index.conflicting[p as usize]),
+        );
 
-        let mut best: Option<(Vec<usize>, usize, usize, ModuleId)> = None;
+        // Tie-break 1: pairwise clashes with single-copy co-operands, per
+        // module (only v's copies change below, so these stay fixed).
+        let mut clashes = [0usize; MAX_MODULES];
+        for &p in index.occurrences(v) {
+            for o in trace.instructions[index.insts[p as usize] as usize].iter() {
+                let oc = assignment.copies(o);
+                match oc.first() {
+                    Some(m) if o != v && oc.len() == 1 => clashes[m.index()] += 1,
+                    _ => {}
+                }
+            }
+        }
+
+        let mut best: Option<(GroupCounts, usize, usize, ModuleId)> = None;
         for m in candidates.iter() {
             // C vector: conflicts freed per group if v gets a copy in m.
-            let mut freed = vec![0usize; k + 1];
             assignment.add_copy(v, m);
-            for &idx in &relevant {
-                if assignment.instruction_conflict_free(&trace.instructions[idx]) {
-                    freed[group_of[idx].min(k)] += 1;
-                }
-            }
+            let freed = index.group_counts(&relevant, |p| {
+                assignment.instruction_conflict_free(
+                    &trace.instructions[index.insts[p as usize] as usize],
+                )
+            });
             assignment.set_copies(v, existing);
 
-            // Tie-break 1: pairwise clashes with single-copy co-operands.
-            let mut clashes = 0usize;
-            for &idx in &occ[slot[&v]] {
-                let inst = &trace.instructions[idx as usize];
-                for o in inst.iter() {
-                    if o != v {
-                        let oc = assignment.copies(o);
-                        if oc.len() == 1 && oc.contains(m) {
-                            clashes += 1;
-                        }
-                    }
-                }
-            }
-
-            let key = (freed, clashes, load[m.index()], m);
+            let key = (freed, clashes[m.index()], load[m.index()], m);
             let better = match &best {
                 None => true,
                 Some((bf, bc, bl, bm)) => {
@@ -478,9 +544,10 @@ pub fn place_values(
             assignment.add_copy(v, m);
             load[m.index()] += 1;
             // Refresh conflict status of instructions containing v.
-            for &idx in &relevant {
-                if assignment.instruction_conflict_free(&trace.instructions[idx]) {
-                    conflicting[idx] = false;
+            for &p in &relevant {
+                let inst = &trace.instructions[index.insts[p as usize] as usize];
+                if assignment.instruction_conflict_free(inst) {
+                    index.conflicting[p as usize] = false;
                 }
             }
         }
@@ -492,8 +559,12 @@ mod tests {
     use super::*;
     use crate::types::AccessTrace;
 
-    fn hs(vals: &[u32]) -> HashSet<ValueId> {
-        vals.iter().map(|&v| ValueId(v)).collect()
+    /// Place one copy of each of `vals`, which are also all of
+    /// `V_unassigned`.
+    fn place(t: &AccessTrace, vals: &[u32], a: &mut Assignment) {
+        let vals: Vec<ValueId> = vals.iter().map(|&v| ValueId(v)).collect();
+        let mut index = DuplicationIndex::new(t, &vals, a);
+        place_values(t, &mut index, &vals, a);
     }
 
     fn profile(name: &str, len: usize, stride: Option<i64>) -> ArrayProfile {
@@ -646,7 +717,7 @@ mod tests {
         assert!("bogus".parse::<ArrayPolicy>().is_err());
     }
 
-    // ---- Fig. 10 copy placement (moved from placement.rs) ----
+    // ---- Fig. 10 copy placement ----
 
     #[test]
     fn first_copy_goes_to_conflict_freeing_module() {
@@ -656,7 +727,7 @@ mod tests {
         let mut a = Assignment::new(3);
         a.add_copy(ValueId(1), ModuleId(0));
         a.add_copy(ValueId(2), ModuleId(1));
-        place_values(&t, &hs(&[3]), &[ValueId(3)], &mut a);
+        place(&t, &[3], &mut a);
         assert_eq!(a.copies(ValueId(3)), ModuleSet::singleton(ModuleId(2)));
         assert!(a.instruction_conflict_free(&t.instructions[0]));
     }
@@ -666,7 +737,7 @@ mod tests {
         let t = AccessTrace::from_lists(3, &[&[1, 2, 3]]);
         let mut a = Assignment::new(3);
         a.add_copy(ValueId(3), ModuleId(0));
-        place_values(&t, &hs(&[3]), &[ValueId(3)], &mut a);
+        place(&t, &[3], &mut a);
         let copies = a.copies(ValueId(3));
         assert_eq!(copies.len(), 2);
         assert!(copies.contains(ModuleId(0)));
@@ -677,7 +748,7 @@ mod tests {
         let t = AccessTrace::from_lists(2, &[&[1, 2]]);
         let mut a = Assignment::new(2);
         a.set_copies(ValueId(1), ModuleSet::all(2));
-        place_values(&t, &hs(&[1]), &[ValueId(1)], &mut a);
+        place(&t, &[1], &mut a);
         assert_eq!(a.copies(ValueId(1)), ModuleSet::all(2));
     }
 
@@ -695,7 +766,7 @@ mod tests {
         a.add_copy(ValueId(1), ModuleId(0));
         a.add_copy(ValueId(2), ModuleId(1));
         a.add_copy(ValueId(3), ModuleId(2));
-        place_values(&t, &hs(&[9]), &[ValueId(9)], &mut a);
+        place(&t, &[9], &mut a);
         // The chosen module must free instruction A.
         assert!(
             a.instruction_conflict_free(&t.instructions[0]),
@@ -713,7 +784,7 @@ mod tests {
         a.add_copy(ValueId(1), ModuleId(0));
         a.add_copy(ValueId(4), ModuleId(0));
         a.add_copy(ValueId(2), ModuleId(1));
-        place_values(&t, &hs(&[9]), &[ValueId(9)], &mut a);
+        place(&t, &[9], &mut a);
         assert_eq!(a.copies(ValueId(9)), ModuleSet::singleton(ModuleId(2)));
         assert_eq!(a.residual_conflicts(&t), 0);
     }
@@ -722,7 +793,7 @@ mod tests {
     fn empty_values_is_noop() {
         let t = AccessTrace::from_lists(2, &[&[1, 2]]);
         let mut a = Assignment::new(2);
-        place_values(&t, &hs(&[]), &[], &mut a);
+        place(&t, &[], &mut a);
         assert_eq!(a.total_copies(), 0);
     }
 }

@@ -53,7 +53,6 @@ pub mod graph;
 pub mod instview;
 pub mod layout;
 pub mod matching;
-pub mod placement;
 pub mod strategies;
 pub mod synth;
 pub mod trace_io;

@@ -11,110 +11,166 @@
 //! instruction: the smallest `L` such that operands can be served with at
 //! most `L` fetches per module (each serialized fetch costs Δ in the paper's
 //! §3 model).
+//!
+//! Every entry point runs the same kernel: Kuhn's augmenting-path matching
+//! with a per-module capacity, whose working state (load per module,
+//! module and service slot per operand) lives in fixed-size stack arrays
+//! for up to [`MAX_MODULES`] operands. The conflict-freedom test, which the
+//! duplication stage asks millions of times at scale, answers most calls
+//! without matching at all.
 
-use crate::types::ModuleSet;
+use crate::types::{ModuleSet, MAX_MODULES};
+
+/// Module index of an operand no module serves.
+const UNMATCHED: u8 = u8::MAX;
+
+/// Working state of one capacitated Kuhn run.
+///
+/// Each module serves its operands in slots `0..load`; when an augmenting
+/// path reaches a full module it tries to move the occupants in slot order,
+/// and a displaced occupant's slot passes to the operand that displaced it.
+/// That order decides which of several minimum-makespan schedules comes
+/// out, and the simulator's per-module loads depend on the choice, so the
+/// slots are kept rather than re-derived. Finding a slot's occupant scans
+/// the operands; that is cheap up to [`MAX_MODULES`] of them, and no
+/// scheduled word is wider (the scheduler keeps memory operands ≤ k).
+struct Kuhn<'a> {
+    operands: &'a [ModuleSet],
+    cap: u32,
+    load: [u32; MAX_MODULES],
+    module: &'a mut [u8],
+    slot: &'a mut [u32],
+}
+
+impl Kuhn<'_> {
+    /// The operand in slot `s` of module `m`.
+    fn occupant(&self, m: usize, s: u32) -> usize {
+        (0..self.module.len())
+            .find(|&o| usize::from(self.module[o]) == m && self.slot[o] == s)
+            .expect("slots below a module's load are occupied")
+    }
+
+    /// Try to match `op`, relocating occupants along an augmenting path.
+    /// `visited` marks the modules this attempt has explored (the standard
+    /// Kuhn invariant); a failed attempt changes nothing.
+    fn augment(&mut self, op: usize, visited: &mut u64) -> bool {
+        for m in self.operands[op].iter() {
+            let mi = m.index();
+            if *visited & (1u64 << mi) != 0 {
+                continue;
+            }
+            *visited |= 1u64 << mi;
+            let slot = if self.load[mi] < self.cap {
+                self.load[mi] += 1;
+                Some(self.load[mi] - 1)
+            } else {
+                (0..self.cap).find(|&s| {
+                    let occupant = self.occupant(mi, s);
+                    self.augment(occupant, visited)
+                })
+            };
+            if let Some(s) = slot {
+                self.module[op] = mi as u8;
+                self.slot[op] = s;
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Match `operands` to modules, each module serving at most `cap` of them,
+/// and hand `f` the module serving each operand ([`UNMATCHED`] if none).
+/// Operands are matched in order, each by one augmenting-path search.
+fn with_matching<R>(operands: &[ModuleSet], cap: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+    let n = operands.len();
+    let run = |module: &mut [u8], slot: &mut [u32]| {
+        let mut kuhn = Kuhn {
+            operands,
+            // A module never needs more slots than there are operands.
+            cap: u32::try_from(cap.min(n)).expect("operand count fits u32"),
+            load: [0; MAX_MODULES],
+            module,
+            slot,
+        };
+        for op in 0..n {
+            kuhn.augment(op, &mut 0);
+        }
+    };
+    if n <= MAX_MODULES {
+        let (mut module, mut slot) = ([UNMATCHED; MAX_MODULES], [0u32; MAX_MODULES]);
+        run(&mut module[..n], &mut slot[..n]);
+        f(&module[..n])
+    } else {
+        let (mut module, mut slot) = (vec![UNMATCHED; n], vec![0u32; n]);
+        run(&mut module, &mut slot);
+        f(&module)
+    }
+}
+
+/// Whether every operand is matched at capacity `cap`.
+fn perfect(operands: &[ModuleSet], cap: usize) -> bool {
+    with_matching(operands, cap, |module| !module.contains(&UNMATCHED))
+}
+
+/// The schedule as module numbers; the caller knows every operand matched.
+fn schedule(module: &[u8]) -> Vec<u16> {
+    debug_assert!(!module.contains(&UNMATCHED), "schedule has no gaps");
+    module.iter().map(|&m| u16::from(m)).collect()
+}
 
 /// Maximum-cardinality matching between `operands` (each a [`ModuleSet`] of
 /// modules holding a copy) and modules, where each module may serve at most
 /// `cap` operands. Returns the number of matched operands.
-///
-/// Kuhn's augmenting-path algorithm; with ≤64 modules and ≤64 operands per
-/// instruction this is effectively constant time per call.
 pub fn max_matching_with_capacity(operands: &[ModuleSet], cap: usize) -> usize {
-    match run_matching(operands, cap) {
-        Some(assigned) => assigned.iter().filter(|a| a.is_some()).count(),
-        None => 0,
-    }
-}
-
-/// Core Kuhn's algorithm with module capacities. Returns per-operand module
-/// assignments (None = unmatched), or `None` when `cap == 0`.
-fn run_matching(operands: &[ModuleSet], cap: usize) -> Option<Vec<Option<u16>>> {
-    if cap == 0 {
-        return None;
-    }
-    // owner[m] lists which operands module m currently serves.
-    let mut owner: Vec<Vec<usize>> = vec![Vec::new(); 64];
-    let mut assigned: Vec<Option<u16>> = vec![None; operands.len()];
-
-    for start in 0..operands.len() {
-        let mut visited_modules = 0u64;
-        augment(
-            start,
-            operands,
-            cap,
-            &mut owner,
-            &mut assigned,
-            &mut visited_modules,
-        );
-    }
-    Some(assigned)
-}
-
-/// Try to match `op` to some module, relocating current occupants along
-/// augmenting paths. `visited_modules` marks modules already explored in
-/// this augmentation attempt (the standard Kuhn invariant).
-fn augment(
-    op: usize,
-    operands: &[ModuleSet],
-    cap: usize,
-    owner: &mut [Vec<usize>],
-    assigned: &mut [Option<u16>],
-    visited_modules: &mut u64,
-) -> bool {
-    for m in operands[op].iter() {
-        let mi = m.index();
-        let bit = 1u64 << mi;
-        if *visited_modules & bit != 0 {
-            continue;
-        }
-        *visited_modules |= bit;
-        if owner[mi].len() < cap {
-            owner[mi].push(op);
-            assigned[op] = Some(m.0);
-            return true;
-        }
-        // Module full: try to relocate one occupant elsewhere.
-        for slot in 0..owner[mi].len() {
-            let occupant = owner[mi][slot];
-            if augment(occupant, operands, cap, owner, assigned, visited_modules) {
-                // `occupant` found a new home; take its slot.
-                owner[mi][slot] = op;
-                assigned[op] = Some(m.0);
-                return true;
-            }
-        }
-    }
-    false
+    with_matching(operands, cap, |module| {
+        module.iter().filter(|&&m| m != UNMATCHED).count()
+    })
 }
 
 /// True iff every operand can be served by a distinct module holding one of
 /// its copies — the paper's definition of a conflict-free instruction.
 ///
 /// An operand with an empty copy set (value not yet placed anywhere) makes
-/// the instruction trivially non-conflict-free.
+/// the instruction trivially non-conflict-free. Two more cases need no
+/// matching: fewer modules hold copies than there are operands (Hall's
+/// condition fails, so this is also every instruction wider than
+/// [`MAX_MODULES`]), and every operand has exactly one copy (then the
+/// copies are in distinct modules).
 pub fn instruction_conflict_free(operands: &[ModuleSet]) -> bool {
-    if operands.iter().any(|s| s.is_empty()) {
+    let mut union = ModuleSet::EMPTY;
+    let mut single_copies = true;
+    for &s in operands {
+        if s.is_empty() {
+            return false;
+        }
+        union = union.union(s);
+        single_copies &= s.len() == 1;
+    }
+    if union.len() < operands.len() {
         return false;
     }
-    max_matching_with_capacity(operands, 1) == operands.len()
+    single_copies || perfect(operands, 1)
 }
 
 /// Minimum fetch makespan: the smallest `L ≥ 1` such that all operands can be
 /// served with at most `L` fetches per module. Equals 1 iff the instruction
 /// is conflict-free. Returns `None` if some operand has no copy at all.
 pub fn fetch_makespan(operands: &[ModuleSet]) -> Option<usize> {
-    if operands.is_empty() {
-        return Some(1);
-    }
     if operands.iter().any(|s| s.is_empty()) {
         return None;
     }
-    // Binary search over L; feasibility is monotone in L.
-    let (mut lo, mut hi) = (1usize, operands.len());
+    if instruction_conflict_free(operands) {
+        return Some(1);
+    }
+    // Binary search over L; feasibility is monotone in L, and the modules
+    // holding copies must serve all n operands, so L ≥ ⌈n / |union|⌉.
+    let n = operands.len();
+    let union = operands.iter().fold(ModuleSet::EMPTY, |u, &s| u.union(s));
+    let (mut lo, mut hi) = (n.div_ceil(union.len()).max(2), n);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if max_matching_with_capacity(operands, mid) == operands.len() {
+        if perfect(operands, mid) {
             hi = mid;
         } else {
             lo = mid + 1;
@@ -131,32 +187,18 @@ pub fn makespan_schedule(operands: &[ModuleSet]) -> Option<(Vec<u16>, usize)> {
     if operands.is_empty() {
         return Some((Vec::new(), 0));
     }
-    if operands.iter().any(|s| s.is_empty()) {
-        return None;
-    }
     let l = fetch_makespan(operands)?;
-    let assigned = run_matching(operands, l)?;
-    Some((
-        assigned
-            .into_iter()
-            .map(|a| a.expect("feasible at L"))
-            .collect(),
-        l,
-    ))
+    Some((with_matching(operands, l, schedule), l))
 }
 
 /// One concrete conflict-free fetch schedule (operand index → module), if the
 /// instruction is conflict-free. Used by the simulator to pick which copy of
 /// each value to read.
 pub fn conflict_free_schedule(operands: &[ModuleSet]) -> Option<Vec<u16>> {
-    if operands.iter().any(|s| s.is_empty()) {
+    if !instruction_conflict_free(operands) {
         return None;
     }
-    let assigned = run_matching(operands, 1)?;
-    if assigned.iter().any(|a| a.is_none()) {
-        return None;
-    }
-    Some(assigned.into_iter().map(|a| a.unwrap()).collect())
+    Some(with_matching(operands, 1, schedule))
 }
 
 #[cfg(test)]
@@ -238,5 +280,40 @@ mod tests {
     fn capacity_zero_matches_nothing() {
         let ops = [ms(&[0])];
         assert_eq!(max_matching_with_capacity(&ops, 0), 0);
+    }
+
+    #[test]
+    fn makespan_schedule_relocates_in_slot_order() {
+        // Makespan 2 admits per-module loads (2, 2, 0) and (2, 1, 1) here,
+        // and the simulator's t_ave depends on which comes out. Offering a
+        // full module's occupants in the order they took their slots gives
+        // the first; offering them in operand order would give the second.
+        let ops = [ms(&[0, 1]), ms(&[0, 2]), ms(&[0, 1, 2]), ms(&[0])];
+        assert_eq!(makespan_schedule(&ops), Some((vec![1, 0, 1, 0], 2)));
+    }
+
+    #[test]
+    fn wider_than_the_stack_arrays() {
+        // 65 operands, each with a copy in every one of 64 modules: one
+        // module must serve two of them.
+        let ops = vec![ModuleSet::all(64); 65];
+        assert!(!instruction_conflict_free(&ops));
+        assert!(conflict_free_schedule(&ops).is_none());
+        assert_eq!(max_matching_with_capacity(&ops, 1), 64);
+        assert_eq!(max_matching_with_capacity(&ops, 2), 65);
+        assert_eq!(fetch_makespan(&ops), Some(2));
+        let (sched, l) = makespan_schedule(&ops).unwrap();
+        assert_eq!(l, 2);
+        let mut loads = [0usize; 64];
+        for &m in &sched {
+            loads[m as usize] += 1;
+        }
+        assert_eq!(loads.iter().max(), Some(&2));
+        assert_eq!(loads.iter().sum::<usize>(), 65);
+
+        // All 65 confined to module 0: the makespan is the operand count.
+        let ops = vec![ms(&[0]); 65];
+        assert_eq!(fetch_makespan(&ops), Some(65));
+        assert_eq!(max_matching_with_capacity(&ops, 1), 1);
     }
 }

@@ -40,6 +40,37 @@ impl fmt::Display for ValueId {
     }
 }
 
+/// A set of [`ValueId`]s stored as one flag per value index: membership
+/// without hashing, for sets drawn from a trace's dense value range.
+#[derive(Clone, Debug, Default)]
+pub struct ValueMask(Vec<bool>);
+
+impl ValueMask {
+    /// The set holding exactly `values`.
+    pub fn new(values: &[ValueId]) -> ValueMask {
+        let len = values.iter().map(|v| v.index() + 1).max().unwrap_or(0);
+        let mut mask = ValueMask(vec![false; len]);
+        for &v in values {
+            mask.0[v.index()] = true;
+        }
+        mask
+    }
+
+    /// Add `v`; true if it was not already present.
+    pub fn insert(&mut self, v: ValueId) -> bool {
+        if v.index() >= self.0.len() {
+            self.0.resize(v.index() + 1, false);
+        }
+        !std::mem::replace(&mut self.0[v.index()], true)
+    }
+
+    /// True if `v` is in the set.
+    #[inline]
+    pub fn contains(&self, v: ValueId) -> bool {
+        self.0.get(v.index()).copied().unwrap_or(false)
+    }
+}
+
 /// One of the `k` parallel memory modules, `M_1 .. M_k` in the paper.
 /// Internally zero-based.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -15,7 +15,7 @@ use parallel_memories::core::matching;
 use parallel_memories::core::prelude::{
     assign_trace, AccessTrace, AssignParams, DuplicationStrategy, OperandSet, ValueId,
 };
-use parallel_memories::core::types::ModuleSet;
+use parallel_memories::core::types::{ModuleId, ModuleSet};
 
 /// Strategy: a random access trace with `k` in 2..=8 and instructions whose
 /// operand count never exceeds `k`.
@@ -164,18 +164,6 @@ proptest! {
         }
     }
 
-    /// The matching verifier agrees with a brute-force permutation check on
-    /// small instances.
-    #[test]
-    fn matching_agrees_with_bruteforce(
-        sets in proptest::collection::vec(0u64..64, 1..5)
-    ) {
-        let operands: Vec<ModuleSet> = sets.iter().map(|&b| ModuleSet(b & 0x3F)).collect();
-        let fast = matching::instruction_conflict_free(&operands);
-        let slow = brute_force_matching(&operands);
-        prop_assert_eq!(fast, slow);
-    }
-
     /// Fetch makespan is 1 iff conflict-free, and never exceeds the operand
     /// count.
     #[test]
@@ -189,11 +177,118 @@ proptest! {
         prop_assert_eq!(l, ms);
         let mut loads = [0usize; 64];
         for (i, &m) in sched.iter().enumerate() {
-            prop_assert!(operands[i].contains(parallel_memories::core::types::ModuleId(m)));
+            prop_assert!(operands[i].contains(ModuleId(m)));
             loads[m as usize] += 1;
         }
         prop_assert_eq!(*loads.iter().max().unwrap(), ms);
     }
+}
+
+/// Strategy: `k` in 1..=8 and up to 8 operand copy sets over `k` modules.
+/// A third of the sets are single copies and a third have one or two, so
+/// conflicts are common; the rest are arbitrary, including empty.
+fn arb_copy_sets() -> impl Strategy<Value = (usize, Vec<ModuleSet>)> {
+    (1usize..=8).prop_flat_map(|k| {
+        let set = (0u64..(1u64 << k), 0..k, 0u8..3).prop_map(|(bits, m, shape)| {
+            ModuleSet(match shape {
+                0 => 1u64 << m,
+                1 => (1u64 << m) | (bits & bits.wrapping_neg()),
+                _ => bits,
+            })
+        });
+        proptest::collection::vec(set, 0..=8).prop_map(move |sets| (k, sets))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Every matching entry point agrees with brute force: up to 8
+    /// operands on k ≤ 8 modules, including operands with no copy and more
+    /// operands than modules.
+    #[test]
+    fn matching_agrees_with_bruteforce(case in arb_copy_sets()) {
+        let (k, operands) = case;
+        let n = operands.len();
+        let free = brute_force_matching(&operands);
+        prop_assert_eq!(matching::instruction_conflict_free(&operands), free);
+        prop_assert_eq!(hall_max_matching(&operands, 1) == n, free);
+        for cap in 0..=n + 1 {
+            prop_assert_eq!(
+                matching::max_matching_with_capacity(&operands, cap),
+                hall_max_matching(&operands, cap),
+                "k={} cap={}", k, cap
+            );
+        }
+        let makespan = hall_makespan(&operands);
+        prop_assert_eq!(matching::fetch_makespan(&operands), makespan);
+        match (matching::makespan_schedule(&operands), makespan) {
+            (None, None) => {}
+            (Some((sched, l)), Some(ms)) => {
+                prop_assert_eq!(l, if n == 0 { 0 } else { ms });
+                prop_assert_eq!(sched.len(), n);
+                let mut loads = [0usize; 64];
+                for (i, &m) in sched.iter().enumerate() {
+                    prop_assert!(operands[i].contains(ModuleId(m)));
+                    loads[m as usize] += 1;
+                }
+                prop_assert_eq!(*loads.iter().max().unwrap(), l);
+            }
+            (got, want) => prop_assert!(false, "schedule {:?} vs makespan {:?}", got, want),
+        }
+        match matching::conflict_free_schedule(&operands) {
+            None => prop_assert!(!free),
+            Some(sched) => {
+                prop_assert!(free);
+                prop_assert_eq!(sched.len(), n);
+                let mut used = 0u64;
+                for (i, &m) in sched.iter().enumerate() {
+                    prop_assert!(operands[i].contains(ModuleId(m)));
+                    prop_assert!(used & (1 << m) == 0, "module {} serves twice", m);
+                    used |= 1 << m;
+                }
+            }
+        }
+    }
+}
+
+/// Maximum matching with per-module capacity `cap`, by the deficiency
+/// form of Hall's theorem: the minimum over operand subsets `S` of
+/// `|operands \ S| + cap · |N(S)|`, where `N(S)` is the union of `S`'s copy
+/// sets. Exhaustive over subsets, so independent of augmenting paths.
+fn hall_max_matching(operands: &[ModuleSet], cap: usize) -> usize {
+    let n = operands.len();
+    (0u32..1 << n)
+        .map(|subset| {
+            let (size, union) = subset_union(operands, subset);
+            n - size + cap * union.len()
+        })
+        .min()
+        .expect("the empty subset exists")
+}
+
+/// Minimum fetch makespan by Hall's condition: the largest
+/// `⌈|S| / |N(S)|⌉` over non-empty operand subsets, at least 1; `None` if
+/// some operand has no copy.
+fn hall_makespan(operands: &[ModuleSet]) -> Option<usize> {
+    let mut makespan = 1;
+    for subset in 1u32..1 << operands.len() {
+        let (size, union) = subset_union(operands, subset);
+        if union.is_empty() {
+            return None;
+        }
+        makespan = makespan.max(size.div_ceil(union.len()));
+    }
+    Some(makespan)
+}
+
+/// Size and copy-set union of the operands selected by `subset`'s bits.
+fn subset_union(operands: &[ModuleSet], subset: u32) -> (usize, ModuleSet) {
+    (0..operands.len())
+        .filter(|i| subset & (1 << i) != 0)
+        .fold((0, ModuleSet::EMPTY), |(n, u), i| {
+            (n + 1, u.union(operands[i]))
+        })
 }
 
 fn brute_force_matching(operands: &[ModuleSet]) -> bool {
