@@ -10,35 +10,30 @@
 //! * **deterministic result ordering** — results come back in submission
 //!   order no matter which worker ran what, so reports are byte-identical
 //!   across `--jobs` settings;
-//! * **per-stage metrics** — wall time and (when the [`metrics::CountingAlloc`]
-//!   global allocator is installed) allocation counts per pipeline stage,
-//!   recorded into [`metrics::StageMetrics`];
+//! * **per-stage metrics** — wall time and (when the
+//!   [`parmem_obs::alloc::CountingAlloc`] global allocator is installed)
+//!   allocation counts per pipeline stage, recorded into
+//!   [`parmem_obs::StageMetrics`];
 //! * **panic isolation** — a poisoned job degrades into a structured
-//!   [`job::JobError::Panic`] result instead of killing the run;
+//!   [`JobError::Panic`](parmem_driver::JobError::Panic) result instead of
+//!   killing the run;
 //! * **error policies** — fail-fast (cancel pending jobs on first failure)
 //!   or collect-all.
 //!
-//! Entry points: [`run_batch`] over explicit [`JobSpec`]s, [`paper_jobs`]
-//! for the paper's workload × k sweep, and the lower-level
-//! [`pool::map_indexed`] for callers (like `parmem-bench`) that want the
-//! work-stealing pool with their own job body.
+//! Entry points: [`run_batch`] over explicit
+//! [`JobSpec`](parmem_driver::JobSpec)s and [`paper_jobs`] for the paper's
+//! workload × k sweep. Callers that want the work-stealing pool with their
+//! own job body use `parmem-pool` directly.
 
-pub mod job;
-pub mod metrics;
-pub mod pool;
 pub mod report;
 
-pub use job::{
-    FaultInjection, GapSummary, JobError, JobOutput, JobResult, JobSpec, PlannedSummary,
-};
-pub use metrics::{JobMetrics, StageKind, StageMetrics};
-pub use parmem_exact::ExactConfig;
 pub use report::BatchReport;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use parmem_core::strategies::Strategy;
+use parmem_driver::{JobResult, JobSpec};
 
 // The whole point of the engine is shipping pipeline state across worker
 // threads — assert the key types stay `Send + Sync` at compile time.
@@ -83,15 +78,15 @@ pub struct BatchOptions {
 pub fn run_batch(specs: Vec<JobSpec>, opts: &BatchOptions) -> BatchReport {
     let cancelled = AtomicBool::new(false);
     let fail_fast = opts.policy == ErrorPolicy::FailFast;
-    let workers = pool::effective_jobs(opts.jobs);
+    let workers = parmem_pool::effective_jobs(opts.jobs);
     let t0 = Instant::now();
     let progress = parmem_obs::progress("batch.jobs", specs.len() as u64);
-    let results = pool::map_indexed(specs, opts.jobs, |_, spec| {
+    let results = parmem_pool::map_indexed(specs, opts.jobs, |_, spec| {
         if fail_fast && cancelled.load(Ordering::Relaxed) {
             progress.tick(1);
             return JobResult::skipped(spec);
         }
-        let r = job::run_job(&spec);
+        let r = parmem_driver::run_job(&spec);
         if r.outcome.is_err() {
             cancelled.store(true, Ordering::Relaxed);
         }

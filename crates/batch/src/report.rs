@@ -9,9 +9,9 @@
 
 use std::fmt::Write as _;
 
+use parmem_driver::{JobError, JobResult};
+use parmem_obs::json;
 use parmem_verify::BatchSummary;
-
-use crate::job::{JobError, JobResult};
 
 /// The outcome of one batch run.
 #[derive(Clone, Debug)]
@@ -78,7 +78,7 @@ impl BatchReport {
     /// batch differ only in the measured numbers — the row set and order
     /// are stable and diffable.
     ///
-    /// [`StageKind::ALL`]: crate::metrics::StageKind::ALL
+    /// [`StageKind::ALL`]: parmem_obs::StageKind::ALL
     pub fn format_text_with(&self, include_timings: bool) -> String {
         let mut s = String::new();
         let _ = writeln!(
@@ -171,8 +171,8 @@ impl BatchReport {
                 "{:<10} {:>5} {:>12} {:>14} {:>10} {:>12} {:>8}",
                 "stage", "jobs", "wall_ms", "alloc_bytes", "allocs", "peak", "spans"
             );
-            for k in crate::metrics::StageKind::ALL {
-                let mut total = crate::metrics::StageMetrics::default();
+            for k in parmem_obs::StageKind::ALL {
+                let mut total = parmem_obs::StageMetrics::default();
                 let mut jobs = 0usize;
                 for r in &self.results {
                     if let Some(m) = r.metrics.stage(k) {
@@ -240,7 +240,7 @@ impl BatchReport {
              gap_status,copies_upper,cert_clean",
         );
         if include_timings {
-            for k in crate::metrics::StageKind::ALL {
+            for k in parmem_obs::StageKind::ALL {
                 let _ = write!(
                     s,
                     ",{}_ns,{}_alloc_bytes,{}_peak_bytes,{}_spans",
@@ -308,7 +308,7 @@ impl BatchReport {
                 None => s.push_str(",,,,,,,"),
             }
             if include_timings {
-                for k in crate::metrics::StageKind::ALL {
+                for k in parmem_obs::StageKind::ALL {
                     match r.metrics.stage(k) {
                         Some(m) => {
                             let _ = write!(
@@ -413,7 +413,7 @@ pub fn job_json(r: &JobResult, include_timings: bool) -> String {
     let _ = write!(
         s,
         "\"program\":\"{}\",\"k\":{},\"strategy\":\"{}\",\"seed\":{},\"status\":\"{}\"",
-        json_escape(&r.spec.program),
+        json::escape(&r.spec.program),
         r.spec.k,
         r.spec.strategy.name(),
         r.spec.seed,
@@ -474,7 +474,7 @@ pub fn job_json(r: &JobResult, include_timings: bool) -> String {
             }
         }
         Err(e) => {
-            let _ = write!(s, ",\"error\":\"{}\"", json_escape(&e.to_string()));
+            let _ = write!(s, ",\"error\":\"{}\"", json::escape(&e.to_string()));
             if let JobError::Verify { report } = e {
                 let _ = write!(s, ",\"verify\":{}", report.to_json());
             }
@@ -512,24 +512,6 @@ pub fn job_json(r: &JobResult, include_timings: bool) -> String {
     s
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn csv_escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') || s.contains('\n') {
         format!("\"{}\"", s.replace('"', "\"\""))
@@ -541,7 +523,7 @@ fn csv_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{run_job, JobSpec};
+    use parmem_driver::{run_job, JobSpec};
 
     fn tiny_report() -> BatchReport {
         let specs = [

@@ -6,9 +6,10 @@
 //! independent of the assignment (a bad assignment only costs cycles), so
 //! real divergence and verifier failures have to be manufactured.
 
-use parmem_batch::{
-    run_batch, BatchOptions, ErrorPolicy, ExactConfig, FaultInjection, JobError, JobSpec, StageKind,
-};
+use parmem_batch::{run_batch, BatchOptions, ErrorPolicy};
+use parmem_driver::{FaultInjection, JobError, JobSpec};
+use parmem_exact::ExactConfig;
+use parmem_obs::StageKind;
 
 const GOOD: &str = "program good; var i, s: int;
                     begin s := 1; for i := 1 to 9 do s := s + i * s; print s; end.";

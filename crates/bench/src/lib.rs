@@ -21,9 +21,9 @@
 //! rendered tables are byte-identical to the old serial harness.
 
 use liw_ir::unroll::UnrollConfig;
-use parmem_batch::{BatchOptions, JobResult, JobSpec};
+use parmem_batch::BatchOptions;
 use parmem_core::strategies::Strategy;
-use parmem_driver::Session;
+use parmem_driver::{JobOutput, JobResult, JobSpec, Session};
 use rliw_sim::pipeline::{CompiledProgram, Table2Row};
 use rliw_sim::CompileOptions;
 use workloads::benchmarks;
@@ -84,10 +84,7 @@ fn compile_options(cfg: BenchConfig) -> CompileOptions {
 /// Run one batch-engine job per benchmark under `cfg` and hand each
 /// successful output to `f`, panicking (like the old serial harness) on any
 /// structured job failure.
-fn batch_rows<R>(
-    cfg: BenchConfig,
-    f: impl Fn(&JobResult, &parmem_batch::JobOutput) -> R,
-) -> Vec<R> {
+fn batch_rows<R>(cfg: BenchConfig, f: impl Fn(&JobResult, &JobOutput) -> R) -> Vec<R> {
     let opts = compile_options(cfg);
     let specs: Vec<JobSpec> = benchmarks()
         .iter()

@@ -5,6 +5,8 @@
 //! instructions in which both endpoints occur — the weight source for the
 //! coloring heuristic of Fig. 4.
 
+use parmem_obs::digest::Fnv1a;
+
 use crate::types::{AccessTrace, OperandSet, ValueId};
 
 /// Instruction count below which [`ConflictGraph::build_with_jobs`] stays on
@@ -17,10 +19,6 @@ const PAR_BUILD_MIN_INSTRUCTIONS: usize = 4096;
 /// from the worker count) so the shard decomposition — and therefore every
 /// intermediate — is identical at any `--jobs`.
 const PAR_SHARD_INSTRUCTIONS: usize = 8192;
-
-/// Edge-list length below which the parallel CSR fill is not worth the
-/// scatter bookkeeping; `assemble` handles the rest.
-const PAR_ASSEMBLE_MIN_EDGES: usize = 1 << 16;
 
 /// Minimum degree for a vertex to earn a dedicated [`BitAdjacency`] row:
 /// below this a CSR binary search costs at most ~6 probes and a full bitset
@@ -65,12 +63,12 @@ impl ConflictGraph {
         Self::build_filtered(trace, |_| true)
     }
 
-    /// Build the conflict graph of `trace`, fanning the pair counting and
-    /// CSR fill out over `jobs` pool workers (`0` = auto) when the trace is
-    /// large enough to pay for it. The result is byte-identical to
-    /// [`ConflictGraph::build`] at every worker count: shards are a fixed
-    /// size, shard merges are order-independent count sums, and the CSR fill
-    /// writes disjoint row ranges of the same sorted edge list.
+    /// Build the conflict graph of `trace`, fanning the pair counting out
+    /// over `jobs` pool workers (`0` = auto) when the trace is large enough
+    /// to pay for it; one linear CSR fill follows. The result is
+    /// byte-identical to [`ConflictGraph::build`] at every worker count:
+    /// shards are a fixed size and shard merges are order-independent count
+    /// sums, so the fill sees the same sorted edge list.
     pub fn build_with_jobs(trace: &AccessTrace, jobs: usize) -> ConflictGraph {
         let jobs = parmem_pool::effective_jobs(jobs);
         if jobs <= 1 || trace.instructions.len() < PAR_BUILD_MIN_INSTRUCTIONS {
@@ -116,7 +114,7 @@ impl ConflictGraph {
         });
         let edge_list = merge_tournament(counted, jobs, merge_counted);
 
-        Self::assemble_par(values, &edge_list, jobs)
+        Self::assemble(values, &edge_list)
     }
 
     /// Build the conflict graph considering only values for which `keep`
@@ -191,74 +189,25 @@ impl ConflictGraph {
 
     /// Build directly from an edge list that is already normalized — strictly
     /// ascending `(a, b)` pairs with `a < b`, no duplicates — over the dense
-    /// vertices `0..n`, using the parallel CSR fill when the list is large
-    /// (`jobs` follows the pool convention, `0` = auto). The synthetic scale
-    /// generator emits exactly this shape; the result equals
-    /// [`ConflictGraph::from_edges`] on the same list at any worker count.
-    pub fn from_sorted_edges(
-        n: usize,
-        edge_list: &[(u32, u32, u32)],
-        jobs: usize,
-    ) -> ConflictGraph {
+    /// vertices `0..n`. The synthetic scale generator emits exactly this
+    /// shape; the result equals [`ConflictGraph::from_edges`] on the same
+    /// list.
+    pub fn from_sorted_edges(n: usize, edge_list: &[(u32, u32, u32)]) -> ConflictGraph {
+        let values: Vec<ValueId> = (0..n as u32).map(ValueId).collect();
+        Self::assemble(values, edge_list)
+    }
+
+    /// Assemble the CSR arrays from a normalized edge list: `a < b`, unique
+    /// pairs, sorted ascending by `(a, b)`. One counting pass sizes the rows
+    /// and one pass fills them. Rows come out ascending because, for a
+    /// vertex `v`, the entries `(x, v)` with `x < v` all precede the entries
+    /// `(v, y)` with `y > v` in the sorted list.
+    fn assemble(values: Vec<ValueId>, edge_list: &[(u32, u32, u32)]) -> ConflictGraph {
         debug_assert!(edge_list
             .windows(2)
             .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-        debug_assert!(edge_list.iter().all(|&(a, b, _)| a < b && (b as usize) < n));
-        let values: Vec<ValueId> = (0..n as u32).map(ValueId).collect();
-        Self::assemble_par(values, edge_list, parmem_pool::effective_jobs(jobs))
-    }
-
-    /// Assemble the CSR arrays from a deduplicated normalized edge list
-    /// (`a < b`, no self loops, unique pairs).
-    fn assemble(values: Vec<ValueId>, edge_list: &[(u32, u32, u32)]) -> ConflictGraph {
+        debug_assert!(edge_list.iter().all(|&(a, b, _)| a < b));
         let n = values.len();
-        let mut by_value: Vec<u32> = (0..n as u32).collect();
-        by_value.sort_unstable_by_key(|&i| values[i as usize]);
-
-        let mut directed: Vec<(u32, u32, u32)> = Vec::with_capacity(edge_list.len() * 2);
-        for &(a, b, c) in edge_list {
-            directed.push((a, b, c));
-            directed.push((b, a, c));
-        }
-        directed.sort_unstable();
-
-        let mut offsets = vec![0u32; n + 1];
-        for &(a, _, _) in &directed {
-            offsets[a as usize + 1] += 1;
-        }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
-        let neighbors: Vec<u32> = directed.iter().map(|&(_, b, _)| b).collect();
-        let conf_weights: Vec<u32> = directed.iter().map(|&(_, _, c)| c).collect();
-
-        ConflictGraph {
-            values,
-            by_value,
-            offsets,
-            neighbors,
-            conf_weights,
-            edges: edge_list.len(),
-        }
-    }
-
-    /// Parallel [`ConflictGraph::assemble`]: count degrees and prefix-sum
-    /// sequentially (linear and cheap), then fill disjoint contiguous CSR
-    /// segments from pool workers. Each worker owns a contiguous vertex
-    /// range, whose rows form one contiguous slice of `neighbors`; scanning
-    /// the `(a, b)`-sorted undirected list keeps every row ascending (for a
-    /// vertex `v`, reverse entries `(x, v)` with `x < v` all sort before the
-    /// forward run `(v, b)` with `b > v`), exactly matching the sequential
-    /// sort-based fill.
-    fn assemble_par(
-        values: Vec<ValueId>,
-        edge_list: &[(u32, u32, u32)],
-        jobs: usize,
-    ) -> ConflictGraph {
-        let n = values.len();
-        if jobs <= 1 || edge_list.len() < PAR_ASSEMBLE_MIN_EDGES {
-            return Self::assemble(values, edge_list);
-        }
         let mut by_value: Vec<u32> = (0..n as u32).collect();
         by_value.sort_unstable_by_key(|&i| values[i as usize]);
 
@@ -273,77 +222,15 @@ impl ConflictGraph {
         let total = offsets[n] as usize;
         let mut neighbors = vec![0u32; total];
         let mut conf_weights = vec![0u32; total];
-
-        // Vertex ranges of roughly equal slot count; range boundaries only
-        // decide who writes where, never what is written, so a jobs-dependent
-        // partition is still deterministic output-wise.
-        let mut bounds = vec![0usize];
-        for w in 1..jobs {
-            let target = (total * w / jobs) as u32;
-            let v = offsets.partition_point(|&o| o < target).min(n);
-            if v > *bounds.last().unwrap() {
-                bounds.push(v);
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        for &(a, b, c) in edge_list {
+            for (v, w) in [(a, b), (b, a)] {
+                let slot = &mut cursor[v as usize];
+                neighbors[*slot as usize] = w;
+                conf_weights[*slot as usize] = c;
+                *slot += 1;
             }
         }
-        if *bounds.last().unwrap() < n {
-            bounds.push(n);
-        }
-
-        struct FillTask<'a> {
-            lo: usize,
-            hi: usize,
-            base: usize,
-            nbrs: &'a mut [u32],
-            confs: &'a mut [u32],
-        }
-        let mut tasks: Vec<FillTask> = Vec::new();
-        {
-            let mut nrest: &mut [u32] = &mut neighbors;
-            let mut crest: &mut [u32] = &mut conf_weights;
-            let mut consumed = 0usize;
-            for win in bounds.windows(2) {
-                let (lo, hi) = (win[0], win[1]);
-                let end = offsets[hi] as usize;
-                let (na, nb) = nrest.split_at_mut(end - consumed);
-                let (ca, cb) = crest.split_at_mut(end - consumed);
-                tasks.push(FillTask {
-                    lo,
-                    hi,
-                    base: consumed,
-                    nbrs: na,
-                    confs: ca,
-                });
-                nrest = nb;
-                crest = cb;
-                consumed = end;
-            }
-        }
-        parmem_pool::map_indexed(tasks, jobs, |_, task| {
-            let FillTask {
-                lo,
-                hi,
-                base,
-                nbrs,
-                confs,
-            } = task;
-            let mut cursor: Vec<usize> =
-                offsets[lo..hi].iter().map(|&o| o as usize - base).collect();
-            let (lo, hi) = (lo as u32, hi as u32);
-            for &(a, b, c) in edge_list {
-                if lo <= a && a < hi {
-                    let cur = &mut cursor[(a - lo) as usize];
-                    nbrs[*cur] = b;
-                    confs[*cur] = c;
-                    *cur += 1;
-                }
-                if lo <= b && b < hi {
-                    let cur = &mut cursor[(b - lo) as usize];
-                    nbrs[*cur] = a;
-                    confs[*cur] = c;
-                    *cur += 1;
-                }
-            }
-        });
 
         ConflictGraph {
             values,
@@ -361,22 +248,18 @@ impl ConflictGraph {
     /// the bench harness use this to compare build paths without a full
     /// structural walk.
     pub fn digest(&self) -> u64 {
-        fn eat(h: &mut u64, x: u64) {
-            *h ^= x;
-            *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        eat(&mut h, self.values.len() as u64);
+        let mut h = Fnv1a::new();
+        h.word(self.values.len() as u64);
         for v in &self.values {
-            eat(&mut h, v.0 as u64);
+            h.word(v.0 as u64);
         }
         for &o in &self.offsets {
-            eat(&mut h, o as u64);
+            h.word(o as u64);
         }
         for (&nb, &c) in self.neighbors.iter().zip(&self.conf_weights) {
-            eat(&mut h, ((nb as u64) << 32) | c as u64);
+            h.word(((nb as u64) << 32) | c as u64);
         }
-        h
+        h.finish()
     }
 
     /// Number of vertices.
@@ -883,10 +766,8 @@ mod tests {
         }
         edges.sort_unstable();
         let reference = ConflictGraph::from_edges(n, &edges);
-        for jobs in [1, 4] {
-            let fast = ConflictGraph::from_sorted_edges(n, &edges, jobs);
-            assert_eq!(fast.digest(), reference.digest(), "jobs={jobs}");
-        }
+        let fast = ConflictGraph::from_sorted_edges(n, &edges);
+        assert_eq!(fast.digest(), reference.digest());
     }
 
     #[test]

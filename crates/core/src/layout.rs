@@ -29,6 +29,8 @@
 
 use std::cmp::Reverse;
 
+use parmem_obs::digest::Fnv1a;
+
 use crate::assignment::Assignment;
 use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
 
@@ -202,45 +204,35 @@ impl MemoryLayout {
     /// order. Two layouts with equal digests place every scalar and every
     /// array element identically.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let eat = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-            *h ^= 0xFF;
-            *h = h.wrapping_mul(FNV_PRIME);
-        };
-        eat(&mut h, &(self.k as u64).to_le_bytes());
-        eat(&mut h, self.policy.name().as_bytes());
+        let mut h = Fnv1a::new();
+        h.field(&(self.k as u64).to_le_bytes());
+        h.field(self.policy.name().as_bytes());
         for a in &self.arrays {
-            eat(&mut h, a.name.as_bytes());
-            eat(&mut h, &(a.len as u64).to_le_bytes());
+            h.field(a.name.as_bytes());
+            h.field(&(a.len as u64).to_le_bytes());
             match a.scheme {
                 ArrayScheme::Interleaved { base } => {
-                    eat(&mut h, b"interleaved");
-                    eat(&mut h, &u64::from(base).to_le_bytes());
+                    h.field(b"interleaved");
+                    h.field(&u64::from(base).to_le_bytes());
                 }
                 ArrayScheme::Hash { salt } => {
-                    eat(&mut h, b"hash");
-                    eat(&mut h, &salt.to_le_bytes());
+                    h.field(b"hash");
+                    h.field(&salt.to_le_bytes());
                 }
                 ArrayScheme::Block { block } => {
-                    eat(&mut h, b"block");
-                    eat(&mut h, &(block as u64).to_le_bytes());
+                    h.field(b"block");
+                    h.field(&(block as u64).to_le_bytes());
                 }
             }
         }
         // placed_values iterates in value-id order, so this is canonical.
         for (v, set) in self.assignment.placed_values() {
-            eat(&mut h, &u64::from(v.0).to_le_bytes());
+            h.field(&u64::from(v.0).to_le_bytes());
             for m in set.iter() {
-                eat(&mut h, &(m.index() as u64).to_le_bytes());
+                h.field(&(m.index() as u64).to_le_bytes());
             }
         }
-        h
+        h.finish()
     }
 }
 

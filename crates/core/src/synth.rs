@@ -327,13 +327,11 @@ pub fn scale_workload(spec: &ScaleSpec, seed: u64) -> ScaleWorkload {
 }
 
 /// The conflict graph of a [`ScaleSpec`] workload, assembled directly from
-/// the sorted edge list (through the parallel CSR path when `jobs` and the
-/// size warrant it). Byte-identical for every `jobs` value, and equal — by
-/// [`ConflictGraph::digest`] — to building from [`scale_trace`]'s
-/// instruction stream.
-pub fn scale_graph(spec: &ScaleSpec, seed: u64, jobs: usize) -> ConflictGraph {
+/// the sorted edge list. Equal — by [`ConflictGraph::digest`] — to building
+/// from [`scale_trace`]'s instruction stream.
+pub fn scale_graph(spec: &ScaleSpec, seed: u64) -> ConflictGraph {
     let edges = scale_edges(spec, seed);
-    ConflictGraph::from_sorted_edges(spec.values, &edges, jobs)
+    ConflictGraph::from_sorted_edges(spec.values, &edges)
 }
 
 /// An access trace realizing a [`ScaleSpec`] workload: one two-operand
@@ -560,19 +558,11 @@ mod tests {
             components: 3,
             modules: 8,
         };
-        let g = scale_graph(&spec, 7, 1);
+        let g = scale_graph(&spec, 7);
         let t = scale_trace(&spec, 7);
         let from_trace = ConflictGraph::build(&t);
         assert_eq!(g.digest(), from_trace.digest());
         assert_eq!(g.connected_components().len(), spec.components);
-    }
-
-    #[test]
-    fn scale_graph_jobs_invariant() {
-        let spec = ScaleSpec::default();
-        let a = scale_graph(&spec, 11, 1);
-        let b = scale_graph(&spec, 11, 8);
-        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property tests for the [`ScaleSpec`] workload generator — the gate in
 //! front of the scale path: if the generator's structural guarantees hold
 //! (determinism, planted cliques, exact component counts, edge budgets) and
-//! its graphs round-trip through the parallel CSR builder bit-for-bit, the
-//! large-n benchmarks downstream are measuring what they claim to.
+//! its graphs round-trip through the CSR builder bit-for-bit, the large-n
+//! benchmarks downstream are measuring what they claim to.
 
 use std::collections::BTreeMap;
 
@@ -49,8 +49,8 @@ proptest! {
         prop_assert_eq!(&a.cliques, &b.cliques);
         prop_assert_eq!(&a.blocks, &b.blocks);
         prop_assert_eq!(
-            scale_graph(&spec, seed, 1).digest(),
-            scale_graph(&spec, seed, 1).digest()
+            scale_graph(&spec, seed).digest(),
+            scale_graph(&spec, seed).digest()
         );
     }
 
@@ -58,7 +58,7 @@ proptest! {
     #[test]
     fn planted_cliques_are_cliques(spec in arb_spec(), seed in 0u64..1024) {
         let w = scale_workload(&spec, seed);
-        let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges, 1);
+        let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges);
         prop_assert_eq!(w.cliques.len(), spec.cliques);
         for clique in &w.cliques {
             prop_assert!(g.is_clique(clique), "planted set {clique:?} is not a clique");
@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn component_count_matches_spec(spec in arb_spec(), seed in 0u64..1024) {
         let w = scale_workload(&spec, seed);
-        let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges, 1);
+        let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges);
         prop_assert_eq!(g.connected_components().len(), spec.components);
         prop_assert_eq!(w.blocks.len(), spec.components);
         prop_assert_eq!(w.blocks[0].0, 0);
@@ -98,19 +98,16 @@ proptest! {
         }
     }
 
-    /// The generated graph round-trips: parallel CSR assembly from the edge
-    /// list, the sequential assembly, and the trace-driven builder all equal
-    /// a naive pair-map reference.
+    /// The generated graph round-trips: CSR assembly from the edge list and
+    /// the trace-driven builder both equal a naive pair-map reference.
     #[test]
     fn round_trips_through_csr_construction(spec in arb_spec(), seed in 0u64..1024) {
         let w = scale_workload(&spec, seed);
-        let seq = ConflictGraph::from_sorted_edges(spec.values, &w.edges, 1);
-        let par = ConflictGraph::from_sorted_edges(spec.values, &w.edges, 8);
-        prop_assert_eq!(seq.digest(), par.digest());
+        let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges);
 
         let trace = scale_trace(&spec, seed);
         let from_trace = ConflictGraph::build(&trace);
-        prop_assert_eq!(seq.digest(), from_trace.digest());
+        prop_assert_eq!(g.digest(), from_trace.digest());
 
         // Naive reference: pair → conf map over the trace.
         let mut reference: BTreeMap<(u32, u32), u32> = BTreeMap::new();
@@ -123,9 +120,9 @@ proptest! {
                 }
             }
         }
-        let produced: BTreeMap<(u32, u32), u32> = seq
+        let produced: BTreeMap<(u32, u32), u32> = g
             .edges()
-            .map(|(u, v, c)| ((seq.value(u).0, seq.value(v).0), c))
+            .map(|(u, v, c)| ((g.value(u).0, g.value(v).0), c))
             .collect();
         prop_assert_eq!(produced, reference);
     }

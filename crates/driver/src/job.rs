@@ -18,6 +18,7 @@ use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
 use parmem_core::layout::ArrayPolicy;
 use parmem_core::strategies::Strategy;
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet};
+use parmem_obs::digest::Fnv1a;
 use parmem_obs::{JobMetrics, StageKind, StageTimer};
 use parmem_verify::VerifyReport;
 use rliw_sim::pipeline::{self, CompileOptions, Table2Row};
@@ -342,25 +343,17 @@ impl JobResult {
 
 /// FNV-1a over the bit-exact encoding of the printed values.
 pub fn hash_output(values: &[liw_ir::Value]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= byte as u64;
-        h = h.wrapping_mul(PRIME);
-    };
+    let mut h = Fnv1a::new();
     for v in values {
         let (tag, bits): (u8, u64) = match v {
             liw_ir::Value::Int(i) => (1, *i as u64),
             liw_ir::Value::Real(r) => (2, r.to_bits()),
             liw_ir::Value::Bool(b) => (3, *b as u64),
         };
-        eat(tag);
-        for b in bits.to_le_bytes() {
-            eat(b);
-        }
+        h.bytes(&[tag]);
+        h.u64(bits);
     }
-    h
+    h.finish()
 }
 
 fn maybe_panic(spec: &JobSpec, stage: StageKind) {

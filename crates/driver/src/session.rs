@@ -19,6 +19,7 @@ use liw_sched::MachineSpec;
 use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
 use parmem_core::layout::{ArrayPolicy, MemoryLayout};
 use parmem_core::strategies::Strategy;
+use parmem_obs::digest::Fnv1a;
 use parmem_verify::VerifyReport;
 use rliw_sim::pipeline::{CompileOptions, CompiledProgram, PipelineError, VerifiedRun};
 use rliw_sim::ArrayPlacement;
@@ -131,50 +132,39 @@ impl Session {
     /// reports for the same program; the serve daemon uses this as the
     /// options half of its content-addressed cache key.
     pub fn config_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            // Field separator so adjacent fields can't alias.
-            h ^= 0xFF;
-            h = h.wrapping_mul(FNV_PRIME);
-        };
-        eat(&(self.k as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.field(&(self.k as u64).to_le_bytes());
         // Debug carries the full variant payload (e.g. STOR3 groups).
-        eat(format!("{:?}", self.strategy).as_bytes());
+        h.field(format!("{:?}", self.strategy).as_bytes());
         match self.opts.unroll {
-            None => eat(b"no-unroll"),
+            None => h.field(b"no-unroll"),
             Some(u) => {
-                eat(&(u.factor as u64).to_le_bytes());
-                eat(&(u.max_body_stmts as u64).to_le_bytes());
+                h.field(&(u.factor as u64).to_le_bytes());
+                h.field(&(u.max_body_stmts as u64).to_le_bytes());
             }
         }
-        eat(&[u8::from(self.opts.optimize), u8::from(self.opts.rename)]);
-        eat(format!("{:?}", self.params.module_choice).as_bytes());
-        eat(format!("{:?}", self.params.duplication).as_bytes());
-        eat(&[u8::from(self.params.use_atoms)]);
+        h.field(&[u8::from(self.opts.optimize), u8::from(self.opts.rename)]);
+        h.field(format!("{:?}", self.params.module_choice).as_bytes());
+        h.field(format!("{:?}", self.params.duplication).as_bytes());
+        h.field(&[u8::from(self.params.use_atoms)]);
         // params.jobs intentionally skipped: output-invariant.
-        eat(&self.seed.to_le_bytes());
+        h.field(&self.seed.to_le_bytes());
         match self.exact_gap {
-            None => eat(b"no-exact-gap"),
+            None => h.field(b"no-exact-gap"),
             Some(cfg) => {
-                eat(&cfg.budget_nodes.to_le_bytes());
-                eat(&cfg.budget_ms.to_le_bytes());
-                eat(&[u8::from(cfg.portfolio)]);
-                eat(&cfg.seed.to_le_bytes());
+                h.field(&cfg.budget_nodes.to_le_bytes());
+                h.field(&cfg.budget_ms.to_le_bytes());
+                h.field(&[u8::from(cfg.portfolio)]);
+                h.field(&cfg.seed.to_le_bytes());
             }
         }
         // Eaten only when set, so digests of historical (scalar-only)
         // sessions stay byte-stable across this knob's introduction.
         if let Some(policy) = self.array_policy {
-            eat(b"array-policy");
-            eat(policy.name().as_bytes());
+            h.field(b"array-policy");
+            h.field(policy.name().as_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Mint a [`JobSpec`] carrying this session's configuration.

@@ -15,6 +15,9 @@
 //! engine later catches.
 
 use std::path::PathBuf;
+use std::sync::Arc;
+
+use parmem_obs::serve::{serve_http, HttpOptions, HttpServer, MetricsState};
 
 use crate::args::CommonArgs;
 
@@ -60,9 +63,13 @@ impl TelemetryConfig {
         parmem_obs::flight::install(FLIGHT_CAPACITY, self.flight_dump.clone(), false);
         let server = match &self.metrics_addr {
             Some(addr) => {
-                let srv =
-                    parmem_obs::serve::serve(addr, parmem_obs::serve::ServeOptions::default())
-                        .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
+                let state = MetricsState::new();
+                let srv = serve_http(
+                    addr,
+                    HttpOptions::default(),
+                    Arc::new(move |req| state.route(req)),
+                )
+                .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
                 eprintln!("metrics: listening on http://{}/metrics", srv.local_addr());
                 Some(srv)
             }
@@ -74,7 +81,7 @@ impl TelemetryConfig {
 
 /// Keeps the metrics endpoint alive for the duration of the command.
 pub struct TelemetryGuard {
-    server: Option<parmem_obs::serve::MetricsServer>,
+    server: Option<HttpServer>,
 }
 
 impl TelemetryGuard {

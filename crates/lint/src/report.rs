@@ -6,6 +6,7 @@
 use std::fmt::Write as _;
 
 use liw_ir::webs::TERM_IDX;
+use parmem_obs::json;
 
 use crate::lints::LintDiag;
 use crate::predict::PredictReport;
@@ -25,10 +26,6 @@ pub struct LintReport {
     pub diags: Vec<LintDiag>,
     /// Predicted-vs-measured conflict section, when requested.
     pub predict: Option<PredictReport>,
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl LintReport {
@@ -118,7 +115,7 @@ impl LintReport {
         let _ = write!(
             s,
             "{{\"program\":\"{}\",\"k\":{},\"blocks\":{},\"instrs\":{},\"diags\":[",
-            escape(&self.program),
+            json::escape(&self.program),
             self.k,
             self.blocks,
             self.instrs
@@ -135,7 +132,7 @@ impl LintReport {
                 let ii = if ii == TERM_IDX { -1 } else { ii as i64 };
                 let _ = write!(s, ",\"instr\":{ii}");
             }
-            let _ = write!(s, ",\"message\":\"{}\"}}", escape(&d.message));
+            let _ = write!(s, ",\"message\":\"{}\"}}", json::escape(&d.message));
         }
         s.push(']');
         if let Some(p) = &self.predict {
@@ -172,7 +169,11 @@ impl LintReport {
                 if i > 0 {
                     s.push(',');
                 }
-                let _ = write!(s, "{{\"name\":\"{}\",\"accesses\":{n}}}", escape(name));
+                let _ = write!(
+                    s,
+                    "{{\"name\":\"{}\",\"accesses\":{n}}}",
+                    json::escape(name)
+                );
             }
             s.push(']');
             if !p.policies.is_empty() {
@@ -242,7 +243,15 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
+    fn json_escapes_the_program_name() {
+        let mut r = report("program t; var s: int; begin s := 1; print s; end.");
+        r.program = "a\"b\\c\n\u{1}".into();
+        let j = r.to_json();
+        assert!(!j.bytes().any(|b| b < 0x20), "raw control byte in {j:?}");
+        let doc = json::parse(&j).expect("lint JSON parses");
+        assert_eq!(
+            doc.get("program").and_then(|p| p.as_str()),
+            Some(r.program.as_str())
+        );
     }
 }

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use crate::json;
 use crate::metric::{
     snapshot_counters, snapshot_hists, split_labels, take_counters, take_hists, Histogram,
     BUCKET_BOUNDS,
@@ -173,7 +174,7 @@ impl Session {
             if n > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "\"{}\":{}", json_escape(name), v);
+            let _ = write!(s, "\"{}\":{}", json::escape(name), v);
         }
         s.push_str("},\"histograms\":{");
         for (n, (name, h)) in self.hists.iter().enumerate() {
@@ -183,7 +184,7 @@ impl Session {
             let _ = write!(
                 s,
                 "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{},\"buckets\":[",
-                json_escape(name),
+                json::escape(name),
                 h.count,
                 h.sum,
                 h.max
@@ -208,7 +209,7 @@ impl Session {
         children: &HashMap<u64, Vec<usize>>,
     ) {
         let s = &self.spans[i];
-        let _ = write!(out, "{{\"name\":\"{}\"", json_escape(&s.name));
+        let _ = write!(out, "{{\"name\":\"{}\"", json::escape(&s.name));
         if timing {
             let _ = write!(
                 out,
@@ -222,7 +223,7 @@ impl Session {
                 if n > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\":", json_escape(k));
+                let _ = write!(out, "\"{}\":", json::escape(k));
                 match v {
                     AttrValue::Int(x) => {
                         let _ = write!(out, "{x}");
@@ -234,7 +235,7 @@ impl Session {
                         let _ = write!(out, "{x}");
                     }
                     AttrValue::Str(x) => {
-                        let _ = write!(out, "\"{}\"", json_escape(x));
+                        let _ = write!(out, "\"{}\"", json::escape(x));
                     }
                 }
             }
@@ -367,24 +368,6 @@ pub(crate) fn escape_help(v: &str) -> String {
         match c {
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
             c => out.push(c),
         }
     }

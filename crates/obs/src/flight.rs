@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::export::json_escape;
+use crate::json;
 use crate::span::SpanRecord;
 
 /// Ring capacity used by [`install`] when the caller does not choose one.
@@ -225,14 +225,14 @@ pub fn dump_json(reason: &str, panic: Option<(&str, &str)>) -> String {
     let det = deterministic();
     let events = RING.get().map(|r| r.recent()).unwrap_or_default();
     let mut out = String::from("{\"schema\":\"parmem-flight/v1\"");
-    let _ = write!(out, ",\"reason\":\"{}\"", json_escape(reason));
+    let _ = write!(out, ",\"reason\":\"{}\"", json::escape(reason));
     match panic {
         Some((msg, loc)) => {
             let _ = write!(
                 out,
                 ",\"panic\":{{\"message\":\"{}\",\"location\":\"{}\"}}",
-                json_escape(msg),
-                json_escape(loc)
+                json::escape(msg),
+                json::escape(loc)
             );
         }
         None => out.push_str(",\"panic\":null"),
@@ -250,7 +250,7 @@ pub fn dump_json(reason: &str, panic: Option<(&str, &str)>) -> String {
         let _ = write!(
             out,
             "{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":\"{}\"",
-            json_escape(&ev.name)
+            json::escape(&ev.name)
         );
         if ev.kind == FlightEventKind::Heartbeat {
             let _ = write!(
@@ -267,7 +267,7 @@ pub fn dump_json(reason: &str, panic: Option<(&str, &str)>) -> String {
         if n > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":{}", json_escape(name), v);
+        let _ = write!(out, "\"{}\":{}", json::escape(name), v);
     }
     out.push_str("},\"histograms\":{");
     for (n, (name, h)) in live.hists.iter().enumerate() {
@@ -277,7 +277,7 @@ pub fn dump_json(reason: &str, panic: Option<(&str, &str)>) -> String {
         let _ = write!(
             out,
             "\"{}\":{{\"count\":{},\"sum\":{},\"max\":{}}}",
-            json_escape(name),
+            json::escape(name),
             h.count,
             h.sum,
             h.max
@@ -291,7 +291,7 @@ pub fn dump_json(reason: &str, panic: Option<(&str, &str)>) -> String {
         let _ = write!(
             out,
             "{{\"phase\":\"{}\",\"done\":{},\"total\":{},\"finished\":{}}}",
-            json_escape(&p.phase),
+            json::escape(&p.phase),
             p.done,
             p.total,
             p.finished

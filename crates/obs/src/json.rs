@@ -1,6 +1,31 @@
-//! A minimal recursive-descent JSON reader, used by the Chrome-trace
-//! validator and the exporter tests (this workspace vendors no serde).
-//! Accepts standard JSON; numbers are parsed as `f64`.
+//! The workspace's JSON encoding (it vendors no serde): [`escape`], the one
+//! string escaper every hand-built JSON document goes through, and a
+//! minimal recursive-descent reader, used by the serve protocol, the
+//! Chrome-trace validator and the exporter tests. The reader accepts
+//! standard JSON; numbers are parsed as `f64`.
+
+use std::fmt::Write as _;
+
+/// `s` escaped for use between the quotes of a JSON string: `"` and `\`
+/// are backslash-escaped, `\n`, `\t` and `\r` use their short forms, and
+/// every other control character below U+0020 becomes `\u00XX`.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value. Object keys keep insertion order.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,7 +82,7 @@ impl Json {
 /// garbage rejected).
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { src, bytes, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -68,6 +93,7 @@ pub fn parse(src: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -147,8 +173,15 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go. Both
+            // are ASCII, so the run ends on a char boundary of `src`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.src[self.pos..run]);
+            self.pos = run;
             match self.peek() {
-                None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -181,15 +214,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte sequences pass through).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                _ => return Err("unterminated string".into()),
             }
         }
     }
@@ -249,6 +274,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_nested_document() {
@@ -269,5 +295,59 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(
+            escape("a\"b\\c/\n\t\r\u{1}\u{1f}\u{2028}é"),
+            "a\\\"b\\\\c/\\n\\t\\r\\u0001\\u001f\u{2028}é"
+        );
+    }
+
+    #[test]
+    fn one_mebibyte_string_member_parses_quickly() {
+        let member = "x".repeat(1 << 20);
+        let doc = format!("{{\"program\":\"{member}\"}}");
+        let t = std::time::Instant::now();
+        let v = parse(&doc).expect("parses");
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(2),
+            "took {:?}",
+            t.elapsed()
+        );
+        assert_eq!(
+            v.get("program").and_then(Json::as_str),
+            Some(member.as_str())
+        );
+    }
+
+    /// Characters the escaper must handle: every control character, the
+    /// three punctuation marks JSON gives escapes, U+2028 (legal raw in
+    /// JSON, not in JavaScript source), multi-byte scalars and plain ASCII.
+    fn arb_char() -> impl Strategy<Value = char> {
+        prop_oneof![
+            (0u32..0x20).prop_map(|c| char::from_u32(c).expect("control char")),
+            Just('"'),
+            Just('\\'),
+            Just('/'),
+            Just('\u{2028}'),
+            Just('é'),
+            Just('€'),
+            Just('😀'),
+            (0x20u32..0x7f).prop_map(|c| char::from_u32(c).expect("ascii")),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn escaped_strings_parse_back(chars in proptest::collection::vec(arb_char(), 0..40)) {
+            let original: String = chars.into_iter().collect();
+            let escaped = escape(&original);
+            prop_assert!(!escaped.bytes().any(|b| b < 0x20), "raw control byte in {escaped:?}");
+            prop_assert_eq!(parse(&format!("\"{escaped}\"")), Ok(Json::Str(original)));
+        }
     }
 }

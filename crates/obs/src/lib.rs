@@ -23,9 +23,12 @@
 //! - **Live telemetry** (v2): non-draining registry snapshots
 //!   ([`snapshot`]), per-phase progress heartbeats ([`progress`],
 //!   [`progress_snapshot`]), a fixed-capacity [`flight`] recorder ring
-//!   dumped on panic, and a std-only HTTP `/metrics` endpoint
-//!   ([`serve::serve`]) serving the Prometheus exporter from live
-//!   snapshots.
+//!   dumped on panic, and a std-only HTTP stack ([`serve::serve_http`])
+//!   whose `/metrics` route ([`serve::MetricsState`]) serves the
+//!   Prometheus exporter from live snapshots.
+//! - **Shared encodings**: the one JSON string escaper and reader
+//!   ([`json`]) and the one FNV-1a hasher ([`digest`]) behind every JSON
+//!   document and every published digest in the workspace.
 //!
 //! Collection is off by default; every instrumentation entry point then
 //! costs a single relaxed atomic load. Flip it with [`set_enabled`], run
@@ -36,6 +39,7 @@
 
 pub mod alloc;
 pub mod chrome;
+pub mod digest;
 mod export;
 pub mod flight;
 pub mod json;

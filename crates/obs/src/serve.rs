@@ -20,11 +20,11 @@
 //! - `POST` bodies are read only up to [`HttpOptions::max_body`] bytes
 //!   (413 beyond that) and require a `Content-Length`.
 //!
-//! The legacy metrics entry point [`serve`] wraps [`serve_http`] with the
-//! standard metrics routes (`GET /metrics` Prometheus text from live
-//! snapshots, `/healthz`, `/`), backed by a shared [`MetricsState`] that
-//! the `parmem serve` daemon also mounts so both servers expose identical
-//! scrape/uptime families.
+//! [`MetricsState::route`] answers the standard metrics routes (`GET
+//! /metrics` Prometheus text from live snapshots, `/healthz`, `/`); the
+//! `--metrics-addr` endpoint mounts it on [`serve_http`], and the `parmem
+//! serve` daemon renders the same [`MetricsState`] so both servers expose
+//! identical scrape/uptime families.
 //!
 //! Binding port 0 picks a free port; [`HttpServer::local_addr`] reports
 //! the actual one (the CLI prints it to stderr so scripts can scrape).
@@ -404,21 +404,9 @@ fn write_response(conn: &mut TcpStream, response: &Response) {
 }
 
 // ---------------------------------------------------------------------------
-// The metrics routes, shared by the legacy `serve` entry point and the
+// The metrics routes, shared by the `--metrics-addr` endpoint and the
 // `parmem serve` daemon.
 // ---------------------------------------------------------------------------
-
-/// Options for [`serve`].
-#[derive(Clone, Debug, Default)]
-pub struct ServeOptions {
-    /// Stop after accepting this many connections (the `serve-metrics`
-    /// stub and tests use this; `None` serves until shutdown).
-    pub max_requests: Option<u64>,
-}
-
-/// Back-compat alias: the metrics endpoint handle is a plain
-/// [`HttpServer`].
-pub type MetricsServer = HttpServer;
 
 /// Scrape bookkeeping behind `GET /metrics`: scrape count and endpoint
 /// uptime, rendered after the live snapshot families.
@@ -467,49 +455,24 @@ impl MetricsState {
         out
     }
 
-    /// Route the three standard metrics paths (`GET /metrics`, `/healthz`,
-    /// `/`); `None` means the path is not a metrics route.
-    pub fn route(&self, req: &Request) -> Option<Response> {
+    /// Answer the three standard metrics paths (`GET /metrics`, `/healthz`,
+    /// `/`): 405 for any other method, 404 for any other path.
+    pub fn route(&self, req: &Request) -> Response {
         if req.method != "GET" {
-            return None;
+            return Response::text(405, "method not allowed\n");
         }
         match req.path.as_str() {
-            "/metrics" => Some(Response {
+            "/metrics" => Response {
                 status: 200,
                 content_type: "text/plain; version=0.0.4; charset=utf-8".to_string(),
                 headers: Vec::new(),
                 body: self.render().into_bytes(),
-            }),
-            "/healthz" => Some(Response::text(200, "ok\n")),
-            "/" => Some(Response::text(
-                200,
-                "parmem metrics endpoint; scrape /metrics\n",
-            )),
-            _ => None,
+            },
+            "/healthz" => Response::text(200, "ok\n"),
+            "/" => Response::text(200, "parmem metrics endpoint; scrape /metrics\n"),
+            _ => Response::text(404, "not found\n"),
         }
     }
-}
-
-/// Bind `addr` and serve the standard metrics routes until
-/// [`HttpServer::shutdown`] or the `max_requests` budget is exhausted.
-pub fn serve(addr: &str, opts: ServeOptions) -> std::io::Result<MetricsServer> {
-    let state = Arc::new(MetricsState::new());
-    let handler: Handler = Arc::new(move |req: &Request| {
-        if req.method != "GET" {
-            return Response::text(405, "method not allowed\n");
-        }
-        state
-            .route(req)
-            .unwrap_or_else(|| Response::text(404, "not found\n"))
-    });
-    serve_http(
-        addr,
-        HttpOptions {
-            max_requests: opts.max_requests,
-            ..HttpOptions::default()
-        },
-        handler,
-    )
 }
 
 /// Prometheus text for the live state: the snapshot's counter/histogram
@@ -579,12 +542,21 @@ mod tests {
         (head.to_string(), body.to_string())
     }
 
+    fn metrics_server(max_requests: Option<u64>) -> HttpServer {
+        let state = MetricsState::new();
+        let opts = HttpOptions {
+            max_requests,
+            ..HttpOptions::default()
+        };
+        serve_http("127.0.0.1:0", opts, Arc::new(move |req| state.route(req))).expect("bind")
+    }
+
     #[test]
     fn serves_metrics_health_and_404() {
         let _guard = crate::test_lock();
         crate::set_enabled(true);
         crate::counter_add("serve.test_counter", 7);
-        let srv = serve("127.0.0.1:0", ServeOptions::default()).expect("bind");
+        let srv = metrics_server(None);
         let addr = srv.local_addr();
 
         let (head, body) = get(addr, "/metrics");
@@ -613,13 +585,7 @@ mod tests {
     #[test]
     fn max_requests_stops_the_acceptor() {
         let _guard = crate::test_lock();
-        let srv = serve(
-            "127.0.0.1:0",
-            ServeOptions {
-                max_requests: Some(1),
-            },
-        )
-        .expect("bind");
+        let srv = metrics_server(Some(1));
         let addr = srv.local_addr();
         let (head, _) = get(addr, "/healthz");
         assert!(head.starts_with("HTTP/1.1 200"));

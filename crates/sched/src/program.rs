@@ -4,6 +4,7 @@
 use liw_ir::tac::{ArrayId, ArrayInfo, BlockId, OpCode, Value, VarId};
 use parmem_core::strategies::RegionizedTrace;
 use parmem_core::types::{AccessTrace, OperandSet, ValueId};
+use parmem_obs::digest::Fnv1a;
 
 /// Machine configuration for scheduling: how much a long word can carry.
 #[derive(Clone, Copy, Debug)]
@@ -258,63 +259,55 @@ impl SchedProgram {
     /// uniform-random placement stream from this, so distinct workloads
     /// never share a placement sequence even under the same user seed.
     pub fn workload_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let eat_u64 = |h: &mut u64, x: u64| {
-            for b in x.to_le_bytes() {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let eat_operand = |h: &mut u64, o: &SOperand| match o {
+        let mut h = Fnv1a::new();
+        let eat_operand = |h: &mut Fnv1a, o: &SOperand| match o {
             SOperand::Const(v) => {
                 let (tag, bits): (u64, u64) = match v {
                     Value::Int(i) => (1, *i as u64),
                     Value::Real(r) => (2, r.to_bits()),
                     Value::Bool(b) => (3, *b as u64),
                 };
-                eat_u64(h, tag);
-                eat_u64(h, bits);
+                h.u64(tag);
+                h.u64(bits);
             }
             SOperand::Scalar(w) => {
-                eat_u64(h, 4);
-                eat_u64(h, u64::from(*w));
+                h.u64(4);
+                h.u64(u64::from(*w));
             }
         };
-        eat_u64(&mut h, self.spec.modules as u64);
-        eat_u64(&mut h, self.spec.width as u64);
-        eat_u64(&mut h, self.spec.mem_ports as u64);
-        eat_u64(&mut h, self.entry.index() as u64);
+        h.u64(self.spec.modules as u64);
+        h.u64(self.spec.width as u64);
+        h.u64(self.spec.mem_ports as u64);
+        h.u64(self.entry.index() as u64);
         for b in &self.blocks {
-            eat_u64(&mut h, 0xB10C);
+            h.u64(0xB10C);
             for w in &b.words {
-                eat_u64(&mut h, 0x30D0);
+                h.u64(0x30D0);
                 for op in &w.ops {
                     match op {
                         SlotOp::Compute { dest, op, lhs, rhs } => {
-                            eat_u64(&mut h, 10);
-                            eat_u64(&mut h, u64::from(*dest));
-                            eat_u64(&mut h, *op as u64);
+                            h.u64(10);
+                            h.u64(u64::from(*dest));
+                            h.u64(*op as u64);
                             eat_operand(&mut h, lhs);
                             if let Some(r) = rhs {
                                 eat_operand(&mut h, r);
                             }
                         }
                         SlotOp::Load { dest, arr, index } => {
-                            eat_u64(&mut h, 11);
-                            eat_u64(&mut h, u64::from(*dest));
-                            eat_u64(&mut h, u64::from(arr.0));
+                            h.u64(11);
+                            h.u64(u64::from(*dest));
+                            h.u64(u64::from(arr.0));
                             eat_operand(&mut h, index);
                         }
                         SlotOp::Store { arr, index, value } => {
-                            eat_u64(&mut h, 12);
-                            eat_u64(&mut h, u64::from(arr.0));
+                            h.u64(12);
+                            h.u64(u64::from(arr.0));
                             eat_operand(&mut h, index);
                             eat_operand(&mut h, value);
                         }
                         SlotOp::Print { value } => {
-                            eat_u64(&mut h, 13);
+                            h.u64(13);
                             eat_operand(&mut h, value);
                         }
                         SlotOp::Select {
@@ -323,8 +316,8 @@ impl SchedProgram {
                             if_false,
                             dest,
                         } => {
-                            eat_u64(&mut h, 14);
-                            eat_u64(&mut h, u64::from(*dest));
+                            h.u64(14);
+                            h.u64(u64::from(*dest));
                             eat_operand(&mut h, cond);
                             eat_operand(&mut h, if_true);
                             eat_operand(&mut h, if_false);
@@ -334,31 +327,28 @@ impl SchedProgram {
             }
             match &b.term {
                 SchedTerm::Jump(t) => {
-                    eat_u64(&mut h, 20);
-                    eat_u64(&mut h, t.index() as u64);
+                    h.u64(20);
+                    h.u64(t.index() as u64);
                 }
                 SchedTerm::Branch {
                     cond,
                     then_to,
                     else_to,
                 } => {
-                    eat_u64(&mut h, 21);
+                    h.u64(21);
                     eat_operand(&mut h, cond);
-                    eat_u64(&mut h, then_to.index() as u64);
-                    eat_u64(&mut h, else_to.index() as u64);
+                    h.u64(then_to.index() as u64);
+                    h.u64(else_to.index() as u64);
                 }
-                SchedTerm::Halt => eat_u64(&mut h, 22),
+                SchedTerm::Halt => h.u64(22),
             }
         }
         for a in &self.arrays {
-            eat_u64(&mut h, 0xA55A);
-            for byte in a.name.as_bytes() {
-                h ^= u64::from(*byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            eat_u64(&mut h, a.len as u64);
+            h.u64(0xA55A);
+            h.bytes(a.name.as_bytes());
+            h.u64(a.len as u64);
         }
-        h
+        h.finish()
     }
 
     /// The static access trace: one operand set per long word, in block

@@ -21,18 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-/// FNV-1a over a byte string — the same digest the driver's job hashing
-/// and `Session::config_digest` use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use parmem_obs::digest::fnv1a;
 
 /// The content address of one response: endpoint discriminant, program
 /// digest, module count, strategy discriminant, and the digest of every

@@ -30,12 +30,14 @@ use std::time::{Duration, Instant};
 
 use parmem_core::assignment::assign_trace;
 use parmem_core::synth::scale_trace;
+use parmem_obs::digest::Fnv1a;
+use parmem_obs::json;
 use parmem_obs::serve::{
     gauge, serve_http, Handler, HttpOptions, HttpServer, MetricsState, Request, Response,
 };
 use parmem_pool::{ServicePool, SubmitError};
 
-use crate::cache::{fnv1a, ResponseCache};
+use crate::cache::ResponseCache;
 use crate::intermediates::IntermediateCache;
 use crate::protocol::{parse_request, ApiRequest, Endpoint, Source};
 use crate::stats::ServeStats;
@@ -392,7 +394,7 @@ fn shutdown_response(state: &Arc<DaemonState>) -> Response {
 fn error_response(status: u16, message: &str) -> Response {
     Response::json(
         status,
-        format!("{{\"error\":\"{}\"}}", json_escape(message)),
+        format!("{{\"error\":\"{}\"}}", json::escape(message)),
     )
 }
 
@@ -542,9 +544,9 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
     // first-use order. Lets clients compare placements without shipping
     // the full (possibly 10^6-row) module map.
     let values = trace.distinct_values();
-    let mut bytes = Vec::with_capacity(values.len() * 8);
+    let mut digest = Fnv1a::new();
     for &v in &values {
-        bytes.extend_from_slice(&assignment.copies(v).0.to_le_bytes());
+        digest.u64(assignment.copies(v).0);
     }
     Ok(format!(
         "{{\"schema\":\"parmem-serve-assign/v1\",\"program\":\"{}\",\"k\":{},\
@@ -552,7 +554,7 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
          \"single_copy\":{},\"multi_copy\":{},\"extra_copies\":{},\"uncolored\":{},\
          \"atoms\":{},\"residual_conflicts\":{},\"repair_copies\":{},\
          \"assignment_digest\":\"{:016x}\"}}",
-        json_escape(&api.program),
+        json::escape(&api.program),
         api.k,
         api.strategy.name(),
         api.seed,
@@ -565,7 +567,7 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
         report.atoms,
         report.residual_conflicts,
         report.repair_copies,
-        fnv1a(&bytes),
+        digest.finish(),
     ))
 }
 
@@ -604,7 +606,7 @@ fn compute_exact(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, 
     Ok(format!(
         "{{\"schema\":\"parmem-serve-exact/v1\",\"program\":\"{}\",\"k\":{},\
          \"heuristic_residual\":{},\"gap\":{},\"verify_diags\":{},\"certificate\":{}}}",
-        json_escape(&api.program),
+        json::escape(&api.program),
         api.k,
         heuristic,
         heuristic as isize - certificate.lower as isize,
@@ -624,24 +626,6 @@ fn compute_lint(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, (
         "{{\"schema\":\"parmem-serve-lint/v1\",\"report\":{}}}",
         report.to_json()
     ))
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

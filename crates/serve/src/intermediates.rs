@@ -28,9 +28,8 @@ use std::sync::{Arc, Mutex};
 
 use liw_ir::tac::TacProgram;
 use parmem_driver::Session;
+use parmem_obs::digest::Fnv1a;
 use rliw_sim::pipeline::PipelineError;
-
-use crate::cache::fnv1a;
 
 /// Lifetime counters, exposed via `/v1/stats` (`"intermediates"`) and
 /// `/metrics`.
@@ -71,11 +70,10 @@ pub struct IntermediateCache {
 /// fully determines the unroll behaviour here.
 fn frontend_key(source: &str, session: &Session) -> u64 {
     let factor = session.opts.unroll.map(|u| u.factor as u64).unwrap_or(0);
-    let mut bytes = Vec::with_capacity(source.len() + 9);
-    bytes.extend_from_slice(source.as_bytes());
-    bytes.push(0xFF);
-    bytes.extend_from_slice(&factor.to_le_bytes());
-    fnv1a(&bytes)
+    let mut h = Fnv1a::new();
+    h.field(source.as_bytes());
+    h.u64(factor);
+    h.finish()
 }
 
 impl IntermediateCache {

@@ -16,10 +16,11 @@ use parmem_core::strategies::{Strategy, STRATEGY_REGISTRY};
 use parmem_core::synth::ScaleSpec;
 use parmem_driver::Session;
 use parmem_exact::ExactConfig;
+use parmem_obs::digest::fnv1a;
 use parmem_obs::json::{self, Json};
 use rliw_sim::pipeline::CompileOptions;
 
-use crate::cache::{fnv1a, CacheKey};
+use crate::cache::CacheKey;
 
 /// Which pipeline a request drives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

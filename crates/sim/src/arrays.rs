@@ -33,6 +33,7 @@
 use std::sync::Arc;
 
 use parmem_core::layout::MemoryLayout;
+use parmem_obs::digest::Fnv1a;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,18 +42,10 @@ use rand_chacha::ChaCha8Rng;
 /// mixed with the workload's structural digest via FNV-1a (see the module
 /// docs on seeding).
 pub fn uniform_seed(base: u64, workload_digest: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for b in base
-        .to_le_bytes()
-        .into_iter()
-        .chain(workload_digest.to_le_bytes())
-    {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.u64(base);
+    h.u64(workload_digest);
+    h.finish()
 }
 
 /// Module selection for array element accesses.

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use parmem_obs::json;
+
 /// Stable identifier of one verified invariant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Code {
@@ -188,7 +190,7 @@ impl Diagnostic {
     pub fn to_json(&self) -> String {
         let mut s = String::from("{");
         s.push_str(&format!("\"code\":\"{}\"", self.code));
-        s.push_str(&format!(",\"message\":\"{}\"", escape_json(&self.message)));
+        s.push_str(&format!(",\"message\":\"{}\"", json::escape(&self.message)));
         if let Some(i) = self.instruction {
             s.push_str(&format!(",\"instruction\":{i}"));
         }
@@ -217,22 +219,6 @@ impl fmt::Display for Diagnostic {
         }
         Ok(())
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The outcome of a verification run: every violation found, plus which
@@ -273,7 +259,7 @@ impl VerifyReport {
         let checks: Vec<String> = self
             .checks_run
             .iter()
-            .map(|c| format!("\"{}\"", escape_json(c)))
+            .map(|c| format!("\"{}\"", json::escape(c)))
             .collect();
         format!(
             "{{\"clean\":{},\"checks_run\":[{}],\"diagnostics\":[{}]}}",
@@ -331,7 +317,7 @@ impl BatchSummary {
         let dirty: Vec<String> = self
             .dirty
             .iter()
-            .map(|(l, n)| format!("{{\"label\":\"{}\",\"violations\":{n}}}", escape_json(l)))
+            .map(|(l, n)| format!("{{\"label\":\"{}\",\"violations\":{n}}}", json::escape(l)))
             .collect();
         format!(
             "{{\"reports\":{},\"clean\":{},\"counts\":{{{}}},\"dirty\":[{}]}}",

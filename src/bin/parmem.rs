@@ -75,7 +75,7 @@
 //!              [--seed S] [--jobs N] [--check] [--assign] [--out <file>]
 //!     Generate a seeded synthetic scale workload (per-component spanning
 //!     trees + planted cliques + random intra-component edges), build its
-//!     conflict graph through the parallel CSR path, and print deterministic
+//!     conflict graph from the sorted edge list, and print deterministic
 //!     structure stats including the graph digest. `--check` rebuilds the
 //!     graph from the emitted access trace and fails unless both builds are
 //!     byte-identical; `--assign` runs the full assignment pipeline on the
@@ -111,10 +111,6 @@
 //!     (`--metrics-only` serves just those). SIGTERM or
 //!     `POST /v1/shutdown` drains gracefully: stop admitting, finish
 //!     in-flight work, exit. `--max-requests N` exits after N connections.
-//!
-//! parmem serve-metrics [--metrics-addr ADDR] [--max-requests N]
-//!     Deprecated alias for `parmem serve --metrics-only` (old default
-//!     port 127.0.0.1:9184); prints a deprecation note to stderr.
 //!
 //! Every subcommand also accepts:
 //!   --profile             print a timed span tree + metrics dump to stderr
@@ -155,8 +151,7 @@ use parallel_memories::verify;
 // installing it here is what makes the `alloc_bytes`/`allocs` fields of
 // `--timings` reports nonzero.
 #[global_allocator]
-static ALLOC: parallel_memories::batch::metrics::CountingAlloc =
-    parallel_memories::batch::metrics::CountingAlloc;
+static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
 type CliError = Box<dyn std::error::Error + Send + Sync>;
 
@@ -287,9 +282,6 @@ fn arg_spec(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static st
                 "--flight-dump",
             ],
         )),
-        // Deprecated alias for `serve --metrics-only` (kept so existing
-        // scrape setups keep working; prints a deprecation note).
-        "serve-metrics" => Some((&[], &["--metrics-addr", "--max-requests"])),
         _ => None,
     }
 }
@@ -328,10 +320,10 @@ fn main() -> ExitCode {
     }
 
     // Live telemetry: arm the flight recorder / `/metrics` endpoint before
-    // dispatch so the hot paths stream into them. The serve daemon (and its
-    // `serve-metrics` alias) binds its own endpoint and must not go through
-    // the guard twice — it still gets the flight recorder.
-    let telemetry_cfg = if cmd == "serve" || cmd == "serve-metrics" {
+    // dispatch so the hot paths stream into them. The serve daemon binds its
+    // own endpoint and must not go through the guard twice — it still gets
+    // the flight recorder.
+    let telemetry_cfg = if cmd == "serve" {
         TelemetryConfig {
             flight_dump: a.value("--flight-dump").map(std::path::PathBuf::from),
             ..TelemetryConfig::default()
@@ -357,8 +349,7 @@ fn main() -> ExitCode {
         "exact" => cmd_exact(&a),
         "lint" => cmd_lint(&a),
         "synth" => cmd_synth(&a),
-        "serve" => cmd_serve(&a, false),
-        "serve-metrics" => cmd_serve(&a, true),
+        "serve" => cmd_serve(&a),
         _ => unreachable!("arg_spec gates the dispatch"),
     };
 
@@ -563,7 +554,8 @@ fn cmd_verify_exact(a: &CommonArgs) -> Result<(), CliError> {
     let report = verify::verify_certificate(&trace, &cert, Some(heuristic));
     if a.flag("--json") {
         println!(
-            "{{\"schema\":\"parmem-verify-exact/v1\",\"program\":\"{program}\",\"heuristic_residual\":{heuristic},\"certificate\":{},\"report\":{}}}",
+            "{{\"schema\":\"parmem-verify-exact/v1\",\"program\":\"{}\",\"heuristic_residual\":{heuristic},\"certificate\":{},\"report\":{}}}",
+            obs::json::escape(&program),
             cert.to_json(),
             report.to_json()
         );
@@ -702,8 +694,8 @@ fn cmd_lint(a: &CommonArgs) -> Result<(), CliError> {
     }
 }
 
-/// `parmem synth`: seeded synthetic scale workloads through the parallel
-/// CSR build, with optional round-trip check and full-pipeline assignment.
+/// `parmem synth`: seeded synthetic scale workloads through the CSR build,
+/// with optional round-trip check and full-pipeline assignment.
 /// Every line printed is deterministic in `(spec, seed)` — never in `--jobs`.
 fn cmd_synth(a: &CommonArgs) -> Result<(), CliError> {
     use parallel_memories::core::graph::ConflictGraph;
@@ -729,7 +721,7 @@ fn cmd_synth(a: &CommonArgs) -> Result<(), CliError> {
     let jobs: usize = a.parsed("--jobs")?.unwrap_or(0);
 
     let w = scale_workload(&spec, seed);
-    let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges, jobs);
+    let g = ConflictGraph::from_sorted_edges(spec.values, &w.edges);
     println!(
         "synth: {} values, {} edges ({} forced), {} components, {} cliques (size {}), k={}, seed {seed}",
         spec.values,
@@ -780,11 +772,6 @@ fn cmd_synth(a: &CommonArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `parmem serve-metrics`: stand-alone `/metrics` endpoint. The first slice
-/// of the ROADMAP daemon — it binds the same std-only HTTP server the
-/// long-running subcommands use via `--metrics-addr`, enables the obs
-/// collector, and blocks until the acceptor stops (`--max-requests N`
-/// bounds it for scripted runs; Ctrl-C otherwise).
 /// Parse a byte-size value with an optional `K`/`M`/`G` suffix
 /// (binary: `64M` = 64 MiB).
 fn parse_byte_size(text: &str) -> Result<usize, CliError> {
@@ -802,16 +789,9 @@ fn parse_byte_size(text: &str) -> Result<usize, CliError> {
         .ok_or_else(|| format!("byte size `{text}` overflows").into())
 }
 
-/// `parmem serve` — the assignment-as-a-service daemon — and its
-/// deprecated `serve-metrics` alias (which forces `--metrics-only` and
-/// keeps the old default port so existing scrape setups still work).
-fn cmd_serve(a: &CommonArgs, legacy: bool) -> Result<(), CliError> {
-    let addr = if legacy {
-        eprintln!("parmem: `serve-metrics` is deprecated; use `parmem serve --metrics-only`");
-        a.value("--metrics-addr").unwrap_or("127.0.0.1:9184")
-    } else {
-        a.value("--addr").unwrap_or("127.0.0.1:9185")
-    };
+/// `parmem serve` — the assignment-as-a-service daemon.
+fn cmd_serve(a: &CommonArgs) -> Result<(), CliError> {
+    let addr = a.value("--addr").unwrap_or("127.0.0.1:9185");
     let defaults = parallel_memories::serve::ServeConfig::default();
     let config = parallel_memories::serve::ServeConfig {
         addr: addr.to_string(),
@@ -824,7 +804,7 @@ fn cmd_serve(a: &CommonArgs, legacy: bool) -> Result<(), CliError> {
             .parsed::<usize>("--queue-depth")?
             .unwrap_or(defaults.queue_depth),
         max_requests: a.parsed::<u64>("--max-requests")?,
-        metrics_only: legacy || a.flag("--metrics-only"),
+        metrics_only: a.flag("--metrics-only"),
         debug_hooks: std::env::var("PARMEM_SERVE_DEBUG").as_deref() == Ok("1"),
         ..defaults
     };
@@ -832,11 +812,7 @@ fn cmd_serve(a: &CommonArgs, legacy: bool) -> Result<(), CliError> {
     obs::set_enabled(true);
     let daemon =
         parallel_memories::serve::Daemon::start(config).map_err(|e| format!("{addr}: {e}"))?;
-    let name = if legacy { "serve-metrics" } else { "serve" };
-    eprintln!(
-        "{name}: listening on http://{}/metrics",
-        daemon.local_addr()
-    );
+    eprintln!("serve: listening on http://{}/metrics", daemon.local_addr());
     daemon.wait();
     Ok(())
 }

@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use parmem_core::assignment::AssignParams;
 use parmem_driver::Session;
 use parmem_exact::{heuristic_single_copy_residual, solve_certificate, Certificate, ExactConfig};
+use parmem_obs::json;
 use rliw_sim::pipeline::CompileOptions;
 
 /// One exact-solver job: a program at a module count, with a solver budget.
@@ -93,7 +94,7 @@ pub fn run_exact_job(spec: &ExactJobSpec) -> ExactJobResult {
 /// Run every job on the batch engine's work-stealing pool; results come
 /// back in submission order regardless of `jobs`.
 pub fn run_exact_jobs(specs: Vec<ExactJobSpec>, jobs: usize) -> Vec<ExactJobResult> {
-    parmem_batch::pool::map_indexed(specs, jobs, |_, spec| run_exact_job(&spec))
+    parmem_pool::map_indexed(specs, jobs, |_, spec| run_exact_job(&spec))
 }
 
 /// Human-readable gap table, one line per job.
@@ -149,7 +150,12 @@ pub fn to_json(results: &[ExactJobResult]) -> String {
         if i > 0 {
             s.push(',');
         }
-        let _ = write!(s, "{{\"program\":\"{}\",\"k\":{}", r.program, r.k);
+        let _ = write!(
+            s,
+            "{{\"program\":\"{}\",\"k\":{}",
+            json::escape(&r.program),
+            r.k
+        );
         match &r.outcome {
             Ok(m) => {
                 let _ = write!(
@@ -162,11 +168,7 @@ pub fn to_json(results: &[ExactJobResult]) -> String {
                 );
             }
             Err(e) => {
-                let _ = write!(
-                    s,
-                    ",\"error\":\"{}\"",
-                    e.replace('\\', "\\\\").replace('"', "\\\"")
-                );
+                let _ = write!(s, ",\"error\":\"{}\"", json::escape(e));
             }
         }
         s.push('}');

@@ -12,6 +12,7 @@ use std::fmt::Write as _;
 use parmem_core::layout::ArrayPolicy;
 use parmem_driver::Session;
 use parmem_lint::LintReport;
+use parmem_obs::json;
 use rliw_sim::pipeline::CompileOptions;
 
 /// One lint job: a program at a module count.
@@ -71,7 +72,7 @@ pub fn run_lint_job(spec: &LintJobSpec) -> LintJobResult {
 /// Run every job on the batch engine's work-stealing pool; results come
 /// back in submission order regardless of `jobs`.
 pub fn run_lint_jobs(specs: Vec<LintJobSpec>, jobs: usize) -> Vec<LintJobResult> {
-    parmem_batch::pool::map_indexed(specs, jobs, |_, spec| run_lint_job(&spec))
+    parmem_pool::map_indexed(specs, jobs, |_, spec| run_lint_job(&spec))
 }
 
 /// Total diagnostics across all successful jobs.
@@ -129,9 +130,9 @@ pub fn to_json(results: &[LintJobResult]) -> String {
                 let _ = write!(
                     s,
                     "{{\"program\":\"{}\",\"k\":{},\"error\":\"{}\"}}",
-                    r.program.replace('\\', "\\\\").replace('"', "\\\""),
+                    json::escape(&r.program),
                     r.k,
-                    e.replace('\\', "\\\\").replace('"', "\\\"")
+                    json::escape(e)
                 );
             }
         }

@@ -13,7 +13,8 @@
 
 use proptest::prelude::*;
 
-use parallel_memories::batch::{self, job, BatchOptions, BatchReport, JobSpec};
+use parallel_memories::batch::{self, BatchOptions, BatchReport};
+use parallel_memories::driver::{job, JobSpec};
 
 /// Small random programs: cheap enough to push through the full pipeline
 /// many times per proptest case.

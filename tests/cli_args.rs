@@ -11,20 +11,15 @@ const SUBCOMMANDS: &[&str] = &[
     "assign", "compile", "run", "verify", "batch", "trace", "exact", "lint", "synth", "serve",
 ];
 
-/// Dispatchable but deliberately absent from the usage line: deprecated
-/// aliases kept for compatibility. They still get the full exit-2 audit.
-const HIDDEN_ALIASES: &[&str] = &["serve-metrics"];
-
 /// Subcommands that accept `--flight-dump PATH` (everything long-running;
-/// `run` is a bare interpreter loop and the `serve-metrics` alias has no
-/// pipeline to record).
+/// `run` is a bare interpreter loop).
 const FLIGHT_DUMP_CMDS: &[&str] = &[
     "assign", "compile", "verify", "batch", "trace", "exact", "lint", "synth", "serve",
 ];
 
 /// Subcommands that accept `--metrics-addr ADDR` (the multi-job /
-/// scale-workload commands, plus the dedicated endpoint stub).
-const METRICS_ADDR_CMDS: &[&str] = &["batch", "exact", "lint", "synth", "serve-metrics"];
+/// scale-workload commands).
+const METRICS_ADDR_CMDS: &[&str] = &["batch", "exact", "lint", "synth"];
 
 fn parmem(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_parmem"))
@@ -36,7 +31,7 @@ fn parmem(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn every_subcommand_rejects_unknown_options_with_exit_2() {
-    for cmd in SUBCOMMANDS.iter().chain(HIDDEN_ALIASES) {
+    for cmd in SUBCOMMANDS {
         let out = parmem(&[cmd, "--definitely-not-a-flag"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(
@@ -75,20 +70,17 @@ fn double_dash_k_only_works_where_k_is_declared() {
 
 #[test]
 fn unknown_subcommand_exits_2_with_usage() {
-    let out = parmem(&["frobnicate"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr.contains("usage: parmem"), "{stderr}");
-    // The usage line advertises every dispatchable subcommand…
-    for cmd in SUBCOMMANDS {
-        assert!(stderr.contains(cmd), "usage line misses `{cmd}`: {stderr}");
-    }
-    // …but not the deprecated aliases (they keep working, silently).
-    for alias in HIDDEN_ALIASES {
-        assert!(
-            !stderr.contains(alias),
-            "usage line advertises deprecated `{alias}`: {stderr}"
-        );
+    // `serve --metrics-only` replaces `serve-metrics`. The bad value makes
+    // a dispatched `serve-metrics` exit 1 before binding, never block.
+    for unknown in ["frobnicate", "serve-metrics"] {
+        let out = parmem(&[unknown, "--max-requests", "many"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`parmem {unknown}`: {stderr}");
+        assert!(stderr.contains("usage: parmem"), "{stderr}");
+        // The usage line advertises every dispatchable subcommand.
+        for cmd in SUBCOMMANDS {
+            assert!(stderr.contains(cmd), "usage line misses `{cmd}`: {stderr}");
+        }
     }
 }
 
@@ -110,7 +102,7 @@ fn telemetry_options_accepted_exactly_where_declared() {
         ("--flight-dump", FLIGHT_DUMP_CMDS),
         ("--metrics-addr", METRICS_ADDR_CMDS),
     ] {
-        for cmd in SUBCOMMANDS.iter().chain(HIDDEN_ALIASES) {
+        for cmd in SUBCOMMANDS {
             let out = parmem(&[cmd, opt]);
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(
@@ -131,23 +123,6 @@ fn telemetry_options_accepted_exactly_where_declared() {
             }
         }
     }
-}
-
-#[test]
-fn serve_metrics_rejects_flight_dump_and_bad_max_requests() {
-    let out = parmem(&["serve-metrics", "--flight-dump", "/tmp/x.json"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(
-        stderr.contains("unknown option `--flight-dump`"),
-        "{stderr}"
-    );
-
-    // A malformed --max-requests fails before any socket is bound.
-    let out = parmem(&["serve-metrics", "--max-requests", "many"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("--max-requests"), "{stderr}");
 }
 
 /// Audit the daemon's own flags: every value-taking option parses exactly

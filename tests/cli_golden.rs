@@ -153,6 +153,32 @@ fn lint_predict_json_is_stable() {
 }
 
 #[test]
+fn lint_json_escapes_control_characters() {
+    // The parse error echoes the offending 0x01 byte back; the JSON report
+    // must carry it escaped.
+    let path = std::env::temp_dir().join(format!("parmem-lint-ctl-{}.mini", std::process::id()));
+    std::fs::write(&path, "program t;\u{1} begin end.").expect("write temp source");
+    let out = Command::new(env!("CARGO_BIN_EXE_parmem"))
+        .args(["lint", "--json"])
+        .arg(&path)
+        .output()
+        .expect("spawn parmem");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let report = stdout.trim_end();
+    assert!(
+        !report.bytes().any(|b| b < 0x20),
+        "raw control byte in {report:?}"
+    );
+    let doc = parallel_memories::obs::json::parse(report).expect("lint JSON parses");
+    let error = doc
+        .get("jobs")
+        .and_then(|jobs| jobs.as_arr()?.first()?.get("error")?.as_str())
+        .expect("the job reports its parse error");
+    assert!(error.contains("`\u{1}`"), "{error:?}");
+}
+
+#[test]
 fn synth_output_is_stable_across_jobs() {
     // The generator, the CSR build (sequential here), the round-trip check
     // and the assignment report are all seeded and deterministic — including

@@ -1,6 +1,6 @@
-//! Live `/metrics` endpoint, end to end over real TCP: the `serve-metrics`
-//! stub and a `synth --assign` run with `--metrics-addr` are both spawned
-//! as child processes, their bound port read off the advertised
+//! Live `/metrics` endpoint, end to end over real TCP: `serve
+//! --metrics-only` and a `synth --assign` run with `--metrics-addr` are both
+//! spawned as child processes, their bound port read off the advertised
 //! `listening on http://…/metrics` stderr line, and the endpoint scraped
 //! twice with a plain `std::net::TcpStream` (no curl). The scraped
 //! families are diffed against an expected-names list — this doubles as
@@ -113,8 +113,9 @@ fn scrape_value(body: &str, name: &str) -> Option<f64> {
 fn serve_metrics_stub_serves_conformant_text_twice() {
     let mut child = spawn_parmem(
         &[
-            "serve-metrics",
-            "--metrics-addr",
+            "serve",
+            "--metrics-only",
+            "--addr",
             "127.0.0.1:0",
             "--max-requests",
             "2",
@@ -141,9 +142,12 @@ fn serve_metrics_stub_serves_conformant_text_twice() {
     let s2 = scrape_value(&second, "parmem_metrics_scrapes_total").expect("scrape counter");
     assert!(s2 > s1, "scrape counter did not advance: {s1} -> {s2}");
 
-    // --max-requests 2 bounds the acceptor, so the stub exits on its own.
+    // --max-requests 2 bounds the acceptor, so the daemon exits on its own.
     let status = child.wait().expect("child exit");
-    assert!(status.success(), "serve-metrics exited with {status:?}");
+    assert!(
+        status.success(),
+        "serve --metrics-only exited with {status:?}"
+    );
 }
 
 #[test]

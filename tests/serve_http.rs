@@ -9,7 +9,9 @@
 //! * saturation (1 worker, zero queue depth, an artificially slow job via
 //!   the `PARMEM_SERVE_DEBUG` seam) → `429` with `Retry-After`;
 //! * drain (`POST /v1/shutdown`, and SIGTERM on unix) finishes the
-//!   in-flight request and exits 0.
+//!   in-flight request and exits 0;
+//! * control characters in request strings come back escaped, so every
+//!   reply is valid JSON.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -196,6 +198,24 @@ fn saturation_answers_429_and_drain_finishes_in_flight() {
     let (s_slow, _, b_slow) = slow.join().expect("slow requester");
     assert_eq!(s_slow, 200, "in-flight request must finish: {b_slow}");
     assert!(b_slow.contains("\"schema\":\"parmem-serve-assign/v1\""));
+    let status = child.wait().expect("child exit");
+    assert!(status.success(), "serve exited with {status:?}");
+}
+
+#[test]
+fn lint_reply_escapes_control_characters() {
+    let mut child = spawn_serve(&["--max-requests", "1"], false);
+    let (port, _reader) = wait_for_port(&mut child);
+    let body = r#"{"workload":"SORT","k":2,"program":"a\nb\u0001"}"#;
+    let (s, _, reply) = post(port, "/v1/lint", body);
+    assert_eq!(s, 200, "{reply}");
+    assert!(
+        !reply.bytes().any(|b| b < 0x20),
+        "raw control byte in {reply:?}"
+    );
+    let doc = parallel_memories::obs::json::parse(&reply).expect("lint reply parses");
+    let program = doc.get("report").and_then(|r| r.get("program"));
+    assert_eq!(program.and_then(|p| p.as_str()), Some("a\nb\u{1}"));
     let status = child.wait().expect("child exit");
     assert!(status.success(), "serve exited with {status:?}");
 }
