@@ -141,6 +141,16 @@ fn lint_corpus_output_is_stable_across_jobs() {
     let wide = parmem_stdout(&["lint", "--all", "-k", "4", "--jobs", "4"]);
     assert_eq!(serial, actual, "--jobs 1 must match the default report");
     assert_eq!(wide, actual, "--jobs 4 must match the default report");
+
+    // Unrolled by 4 at k = 4 and 8: the subscript classes of the TACs the
+    // planned-layout path profiles.
+    let unrolled = ["lint", "--all", "-k", "4,8", "--unroll", "4"];
+    let actual = parmem_stdout(&unrolled);
+    check_golden("lint_corpus_unroll4", &actual);
+    let serial = parmem_stdout(&[&unrolled[..], &["--jobs", "1"]].concat());
+    let wide = parmem_stdout(&[&unrolled[..], &["--jobs", "8"]].concat());
+    assert_eq!(serial, actual, "--jobs 1 must match the default report");
+    assert_eq!(wide, actual, "--jobs 8 must match the default report");
 }
 
 #[test]
