@@ -19,6 +19,7 @@
 //! ```
 
 pub mod ast;
+pub mod bitset;
 pub mod cfg;
 pub mod interp;
 pub mod lexer;
@@ -29,6 +30,7 @@ pub mod unroll;
 pub mod webs;
 
 pub use ast::Ty;
+pub use bitset::BitSet;
 pub use interp::{run, run_source, RunResult};
 pub use lower::lower;
 pub use parser::parse;

@@ -258,7 +258,7 @@ pub fn steps_bound(nodes: usize, bits: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitset::BitSet;
+    use liw_ir::BitSet;
 
     /// Forward may analysis: out = (in − kill) ∪ gen.
     struct GenKill {

@@ -12,7 +12,8 @@
 //! * [`engine`] — direction-parametric worklist solver ([`engine::solve`])
 //!   over a [`engine::FlowGraph`], with a hard step cap as a termination
 //!   guard. Deterministic: iteration order is a pure function of the graph.
-//! * [`bitset`] — the dense powerset domain the common analyses use.
+//! * [`BitSet`] — the dense powerset domain the common analyses use,
+//!   re-exported from `liw-ir` (whose webs and `liw-opt`'s DCE share it).
 //! * [`analyses`] — liveness, reaching definitions, definite
 //!   initialization, constant propagation, and subscript (stride)
 //!   classification. `parmem-verify`'s historical solvers now delegate
@@ -24,7 +25,6 @@
 //! * [`report`] — deterministic per-program text/JSON rendering.
 
 pub mod analyses;
-pub mod bitset;
 pub mod engine;
 pub mod lints;
 pub mod predict;
@@ -33,9 +33,9 @@ pub mod report;
 pub use analyses::{
     array_stride_profiles, ConstProp, ConstVal, DefSite, DefiniteInit, Liveness, ReachingDefs,
 };
-pub use bitset::BitSet;
 pub use engine::{solve, steps_bound, Analysis, Direction, FlowGraph, Solution};
 pub use lints::{lint_program, LintCode, LintDiag, LintOptions};
+pub use liw_ir::BitSet;
 pub use predict::{
     compare, compare_with_layouts, predict, totals, PolicyRow, PredictReport, StaticPrediction,
     T_AVE_TOLERANCE,

@@ -6,6 +6,7 @@
 use liw_ir::cfg::{natural_loops, Cfg};
 use liw_ir::tac::{BlockId, TacProgram, Terminator};
 use liw_ir::webs::TERM_IDX;
+use liw_ir::BitSet;
 
 use crate::analyses::{
     ConstProp, ConstVal, DefiniteInit, Liveness, SubscriptAnalysis, SubscriptClass,
@@ -206,16 +207,21 @@ pub fn lint_program(p: &TacProgram, opts: &LintOptions) -> Vec<LintDiag> {
         }
     }
 
-    // PML004: compile-time-constant branch conditions.
-    let cp = ConstProp::compute(p);
+    // PML004: compile-time-constant branch conditions, from constant
+    // propagation over the condition variables' slice.
+    let mut conds = BitSet::new(p.vars.len());
+    for v in p.blocks.iter().flat_map(|b| b.term.reads()) {
+        conds.insert(v.index());
+    }
+    let cp = ConstProp::compute(p, &conds);
     for &b in &cfg.rpo {
         let bi = b.index();
         if let Terminator::Branch { cond, .. } = &p.blocks[bi].term {
             let mut env = cp.entry_env[bi].clone();
             for inst in &p.blocks[bi].instrs {
-                ConstProp::apply_instr(&mut env, inst);
+                cp.apply_instr(&mut env, inst);
             }
-            if let ConstVal::Known(v) = ConstProp::eval_operand(&env, cond) {
+            if let ConstVal::Known(v) = cp.eval_operand(&env, cond) {
                 diags.push(
                     LintDiag::new(
                         LintCode::PML004,

@@ -2,59 +2,57 @@
 //! over the CFG. Pure instructions (`Compute`, `Load`) whose destination is
 //! dead are removed; `Store` and `Print` are always live.
 
-use std::collections::HashSet;
-
 use liw_ir::cfg::Cfg;
-use liw_ir::tac::{Instr, TacProgram, VarId};
+use liw_ir::tac::{Instr, TacProgram};
+use liw_ir::BitSet;
 
 /// Per-block live-out variable sets.
-fn live_out_sets(p: &TacProgram) -> Vec<HashSet<VarId>> {
+fn live_out_sets(p: &TacProgram) -> Vec<BitSet> {
     let cfg = Cfg::build(p);
     let nb = p.blocks.len();
+    let n_vars = p.vars.len();
 
     // use/def per block (use = read before any write in the block).
-    let mut uses: Vec<HashSet<VarId>> = vec![HashSet::new(); nb];
-    let mut defs: Vec<HashSet<VarId>> = vec![HashSet::new(); nb];
+    let mut uses = vec![BitSet::new(n_vars); nb];
+    let mut defs = vec![BitSet::new(n_vars); nb];
     for (bi, b) in p.blocks.iter().enumerate() {
         for inst in &b.instrs {
             for r in inst.reads() {
-                if !defs[bi].contains(&r) {
-                    uses[bi].insert(r);
+                if !defs[bi].contains(r.index()) {
+                    uses[bi].insert(r.index());
                 }
             }
             if let Some(w) = inst.writes() {
-                defs[bi].insert(w);
+                defs[bi].insert(w.index());
             }
         }
         for r in b.term.reads() {
-            if !defs[bi].contains(&r) {
-                uses[bi].insert(r);
+            if !defs[bi].contains(r.index()) {
+                uses[bi].insert(r.index());
             }
         }
     }
 
-    let mut live_in: Vec<HashSet<VarId>> = vec![HashSet::new(); nb];
-    let mut live_out: Vec<HashSet<VarId>> = vec![HashSet::new(); nb];
+    // live_in = use ∪ (live_out − def), swept in postorder to a fixpoint.
+    let mut live_in = uses.clone();
+    let mut live_out = vec![BitSet::new(n_vars); nb];
     let mut changed = true;
     while changed {
         changed = false;
         for &b in cfg.rpo.iter().rev() {
             let bi = b.index();
-            let mut out: HashSet<VarId> = HashSet::new();
+            let mut out = BitSet::new(n_vars);
             for &s in &cfg.succs[bi] {
-                out.extend(live_in[s.index()].iter().copied());
+                out.union_with(&live_in[s.index()]);
             }
-            let mut inp = uses[bi].clone();
-            for v in &out {
-                if !defs[bi].contains(v) {
-                    inp.insert(*v);
-                }
+            if out != live_out[bi] {
+                let mut inp = out.clone();
+                inp.subtract(&defs[bi]);
+                inp.union_with(&uses[bi]);
+                changed |= inp != live_in[bi];
+                live_in[bi] = inp;
+                live_out[bi] = out;
             }
-            if out != live_out[bi] || inp != live_in[bi] {
-                changed = true;
-            }
-            live_out[bi] = out;
-            live_in[bi] = inp;
         }
     }
     live_out
@@ -74,18 +72,18 @@ pub fn dead_code_elimination(p: &TacProgram) -> (TacProgram, usize) {
             // Walk backwards tracking liveness inside the block.
             let mut live = live_out[bi].clone();
             for r in b.term.reads() {
-                live.insert(r);
+                live.insert(r.index());
             }
             let mut keep: Vec<bool> = vec![true; b.instrs.len()];
             for (ii, inst) in b.instrs.iter().enumerate().rev() {
                 let essential = matches!(inst, Instr::Store { .. } | Instr::Print { .. });
-                let dest_live = inst.writes().map(|w| live.contains(&w)).unwrap_or(false);
+                let dest_live = inst.writes().is_some_and(|w| live.contains(w.index()));
                 if essential || dest_live {
                     if let Some(w) = inst.writes() {
-                        live.remove(&w);
+                        live.remove(w.index());
                     }
                     for r in inst.reads() {
-                        live.insert(r);
+                        live.insert(r.index());
                     }
                 } else {
                     keep[ii] = false;

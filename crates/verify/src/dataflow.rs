@@ -38,10 +38,11 @@ pub struct ReachingDefs {
 impl ReachingDefs {
     /// Solve the forward may-reach problem over `p` and collect, for every
     /// scalar use, the set of definitions reaching it. Delegates to the
-    /// shared `parmem-lint` engine; the result is pinned byte-identical to
-    /// the historical in-crate solver by `tests/dataflow_shim.rs`.
+    /// shared `parmem-lint` engine, queried for every variable; the result
+    /// is pinned byte-identical to the historical in-crate solver by
+    /// `tests/dataflow_shim.rs`.
     pub fn compute(p: &TacProgram) -> ReachingDefs {
-        let rd = lint::ReachingDefs::compute(p);
+        let rd = lint::ReachingDefs::compute(p, &BitSet::full(p.vars.len()));
         let at_use = rd
             .at_use
             .into_iter()
@@ -74,9 +75,8 @@ impl Liveness {
     /// against the historical solver).
     pub fn compute(p: &TacProgram) -> Liveness {
         let lv = lint::Liveness::compute(p);
-        let to_set = |bs: &parmem_lint::BitSet| -> HashSet<VarId> {
-            bs.iter().map(|i| VarId(i as u32)).collect()
-        };
+        let to_set =
+            |bs: &BitSet| -> HashSet<VarId> { bs.iter().map(|i| VarId(i as u32)).collect() };
         Liveness {
             live_in: lv.live_in.iter().map(to_set).collect(),
             live_out: lv.live_out.iter().map(to_set).collect(),
