@@ -171,9 +171,10 @@ pub struct AssignParams {
     /// Whether to decompose the conflict graph into atoms first (paper §2.1).
     /// Disabling this is an ablation knob; results stay correct either way.
     pub use_atoms: bool,
-    /// Worker threads for graph construction and per-component coloring
-    /// (`0` = auto, `1` = sequential). Results are byte-identical for every
-    /// value: parallelism only changes who computes what, never the outcome.
+    /// Worker threads for per-component coloring (`0` = auto, `1` =
+    /// sequential); the conflict graph itself is always built on the calling
+    /// thread. Results are byte-identical for every value: parallelism only
+    /// changes who computes what, never the outcome.
     pub jobs: usize,
 }
 
@@ -241,7 +242,7 @@ pub fn assign_trace_into(
     pipeline_span.attr("instructions", trace.instructions.len());
     let g = {
         let mut gsp = parmem_obs::span("assign.graph");
-        let g = ConflictGraph::build_with_jobs(trace, params.jobs);
+        let g = ConflictGraph::build(trace);
         gsp.attr("nodes", g.len());
         g
     };

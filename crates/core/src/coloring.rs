@@ -14,11 +14,14 @@
 //! `K = 0` has infinite urgency and is moved to `V_unassigned` — it will be
 //! resolved later by duplication + placement.
 //!
-//! The implementation keeps urgencies in a lazy binary heap, giving the
-//! `O((n+e)·log(n+e))` bound the paper states.
+//! The implementation keeps one entry per uncolored node in an indexed
+//! binary max-heap. Urgency never decreases — the numerator only grows and
+//! `K` only shrinks — so coloring a node rewrites each affected neighbor's
+//! entry in place and sifts it up, skipping updates that change nothing.
+//! That gives the `O((n+e)·log n)` bound within the paper's
+//! `O((n+e)·log(n+e))`, with a heap of at most `n` entries.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::graph::ConflictGraph;
 use crate::types::{ModuleId, ModuleSet};
@@ -79,6 +82,98 @@ impl PartialOrd for Urgency {
     }
 }
 
+/// Binary max-heap of [`Urgency`] entries, at most one per vertex, with a
+/// position table so a vertex's entry can be found and raised in place.
+struct UrgencyHeap {
+    heap: Vec<Urgency>,
+    /// Vertex -> index in `heap`, or [`UrgencyHeap::ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl UrgencyHeap {
+    const ABSENT: u32 = u32::MAX;
+
+    /// Heapify `entries` (distinct vertices below `n`).
+    fn new(n: usize, entries: Vec<Urgency>) -> UrgencyHeap {
+        let mut h = UrgencyHeap {
+            heap: entries,
+            pos: vec![Self::ABSENT; n],
+        };
+        for (i, e) in h.heap.iter().enumerate() {
+            h.pos[e.vertex as usize] = i as u32;
+        }
+        for i in (0..h.heap.len() / 2).rev() {
+            h.sift_down(i);
+        }
+        h
+    }
+
+    /// True while `v` has an entry.
+    fn contains(&self, v: u32) -> bool {
+        self.pos[v as usize] != Self::ABSENT
+    }
+
+    /// Remove and return the most urgent entry.
+    fn pop(&mut self) -> Option<Urgency> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("non-empty");
+        self.pos[top.vertex as usize] = Self::ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.pos[last.vertex as usize] = 0;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    /// Overwrite the entry of `u.vertex`, which must be present, with `u`,
+    /// which must be at least as urgent.
+    fn raise(&mut self, u: Urgency) {
+        let i = self.pos[u.vertex as usize] as usize;
+        debug_assert!(u >= self.heap[i], "urgency never decreases");
+        self.heap[i] = u;
+        self.sift_up(i);
+    }
+
+    fn place(&mut self, i: usize, e: Urgency) {
+        self.heap[i] = e;
+        self.pos[e.vertex as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] >= e {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let e = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.heap[child + 1] > self.heap[child] {
+                child += 1;
+            }
+            if e >= self.heap[child] {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, e);
+    }
+}
+
 /// Color `g` with `k` modules using the Fig. 4 heuristic.
 ///
 /// `fixed(v)` reports pre-existing copies of vertex `v` (e.g. the clique
@@ -123,8 +218,6 @@ pub fn color_graph(
     // Per-vertex state.
     let mut forbidden = vec![ModuleSet::EMPTY; n];
     let mut urg_num = vec![0u64; n];
-    let mut done = vec![false; n];
-    let mut color: Vec<Option<ModuleId>> = vec![None; n];
     let mut module_load = vec![0usize; k];
 
     // Seed constraints from fixed vertices.
@@ -133,7 +226,6 @@ pub fn color_graph(
         if fs.is_empty() {
             continue;
         }
-        done[v as usize] = true;
         if fs.len() == 1 {
             let m = fs.first().unwrap();
             if m.index() < k {
@@ -160,34 +252,25 @@ pub fn color_graph(
         }
     }
 
-    let mut heap: BinaryHeap<Urgency> = BinaryHeap::new();
-    for v in 0..n as u32 {
-        if !done[v as usize] {
-            let forb = forbidden[v as usize].intersection(all_modules);
-            heap.push(Urgency {
-                num: urg_num[v as usize],
-                k_avail: (k - forb.len()) as u32,
-                s: s[v as usize],
-                vertex: v,
-            });
-        }
-    }
+    let urgency = |v: u32, num: u64, forbidden: ModuleSet| Urgency {
+        num,
+        k_avail: (k - forbidden.intersection(all_modules).len()) as u32,
+        s: s[v as usize],
+        vertex: v,
+    };
+    let mut heap = UrgencyHeap::new(
+        n,
+        (0..n as u32)
+            .filter(|&v| !is_fixed(v))
+            .map(|v| urgency(v, urg_num[v as usize], forbidden[v as usize]))
+            .collect(),
+    );
 
     while let Some(top) = heap.pop() {
         let v = top.vertex;
-        if done[v as usize] {
-            continue;
-        }
-        // Stale check: the entry must reflect the current state.
-        let forb = forbidden[v as usize].intersection(all_modules);
-        let cur_k = (k - forb.len()) as u32;
-        if top.num != urg_num[v as usize] || top.k_avail != cur_k {
-            continue;
-        }
-        done[v as usize] = true;
         out.order.push(v);
 
-        let available = all_modules.difference(forb);
+        let available = all_modules.difference(forbidden[v as usize]);
         let chosen = match choice {
             ModuleChoice::LowestIndex => available.first(),
             ModuleChoice::LeastUsed => available
@@ -198,26 +281,22 @@ pub fn color_graph(
         match chosen {
             None => out.unassigned.push(v),
             Some(m) => {
-                color[v as usize] = Some(m);
                 module_load[m.index()] += 1;
                 out.assigned.push((v, m));
                 // Update uncolored neighbors.
                 let w = heavy(v);
                 for (j, c) in g.neighbors_with_conf(v) {
-                    if done[j as usize] {
+                    if !heap.contains(j) {
                         continue;
                     }
-                    if w {
-                        urg_num[j as usize] += c as u64;
+                    let add = if w { c as u64 } else { 0 };
+                    let forb_j = &mut forbidden[j as usize];
+                    if add == 0 && forb_j.contains(m) {
+                        continue;
                     }
-                    forbidden[j as usize].insert(m);
-                    let forb_j = forbidden[j as usize].intersection(all_modules);
-                    heap.push(Urgency {
-                        num: urg_num[j as usize],
-                        k_avail: (k - forb_j.len()) as u32,
-                        s: s[j as usize],
-                        vertex: j,
-                    });
+                    forb_j.insert(m);
+                    urg_num[j as usize] += add;
+                    heap.raise(urgency(j, urg_num[j as usize], *forb_j));
                 }
             }
         }

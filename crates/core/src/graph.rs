@@ -7,18 +7,7 @@
 
 use parmem_obs::digest::Fnv1a;
 
-use crate::types::{AccessTrace, OperandSet, ValueId};
-
-/// Instruction count below which [`ConflictGraph::build_with_jobs`] stays on
-/// the plain sequential path — fanning out over the pool costs more than the
-/// build itself at paper scale, and keeping small traces single-threaded
-/// keeps their observability spans on one thread.
-const PAR_BUILD_MIN_INSTRUCTIONS: usize = 4096;
-
-/// Instructions per shard for parallel pair counting. Fixed (not derived
-/// from the worker count) so the shard decomposition — and therefore every
-/// intermediate — is identical at any `--jobs`.
-const PAR_SHARD_INSTRUCTIONS: usize = 8192;
+use crate::types::{AccessTrace, ValueId};
 
 /// Minimum degree for a vertex to earn a dedicated [`BitAdjacency`] row:
 /// below this a CSR binary search costs at most ~6 probes and a full bitset
@@ -63,94 +52,67 @@ impl ConflictGraph {
         Self::build_filtered(trace, |_| true)
     }
 
-    /// Build the conflict graph of `trace`, fanning the pair counting out
-    /// over `jobs` pool workers (`0` = auto) when the trace is large enough
-    /// to pay for it; one linear CSR fill follows. The result is
-    /// byte-identical to [`ConflictGraph::build`] at every worker count:
-    /// shards are a fixed size and shard merges are order-independent count
-    /// sums, so the fill sees the same sorted edge list.
-    pub fn build_with_jobs(trace: &AccessTrace, jobs: usize) -> ConflictGraph {
-        let jobs = parmem_pool::effective_jobs(jobs);
-        if jobs <= 1 || trace.instructions.len() < PAR_BUILD_MIN_INSTRUCTIONS {
-            return Self::build_filtered(trace, |_| true);
-        }
-
-        let shards: Vec<&[OperandSet]> =
-            trace.instructions.chunks(PAR_SHARD_INSTRUCTIONS).collect();
-        // Two passes over the shards (value dedup, then pair counting);
-        // inert unless telemetry is enabled.
-        let progress = parmem_obs::progress("graph.build.shards", 2 * shards.len() as u64);
-
-        // Distinct values: shard-local sorted dedup, then a merge tournament.
-        let local_values = parmem_pool::map_indexed(shards.clone(), jobs, |_, shard| {
-            let mut vs: Vec<ValueId> = shard.iter().flat_map(|i| i.iter()).collect();
-            vs.sort_unstable();
-            vs.dedup();
-            progress.tick(1);
-            vs
-        });
-        let values = merge_tournament(local_values, jobs, merge_dedup);
-
-        // Per-shard edge counting: dense normalized pairs, sorted, run-length
-        // counted, then pairwise merges summing the counts (sums are
-        // associative and commutative, so the tournament shape cannot show).
-        let counted = parmem_pool::map_indexed(shards, jobs, |_, shard| {
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for inst in shard {
-                let ops: Vec<u32> = inst
-                    .iter()
-                    .filter_map(|v| values.binary_search(&v).ok().map(|i| i as u32))
-                    .collect();
-                for i in 0..ops.len() {
-                    for j in (i + 1)..ops.len() {
-                        pairs.push((ops[i], ops[j]));
-                    }
-                }
-            }
-            pairs.sort_unstable();
-            let counted = count_runs(pairs);
-            progress.tick(1);
-            counted
-        });
-        let edge_list = merge_tournament(counted, jobs, merge_counted);
-
-        Self::assemble(values, &edge_list)
-    }
-
     /// Build the conflict graph considering only values for which `keep`
     /// returns true (used by the STOR2 global/local split, where each stage
     /// sees a projection of the instruction stream).
+    ///
+    /// Value ids are dense by contract, so the kept values are numbered
+    /// through one flat table indexed by [`ValueId`]: `keep` is asked once
+    /// per distinct value, and the dense ids follow ascending value order.
     pub fn build_filtered(
         trace: &AccessTrace,
         mut keep: impl FnMut(ValueId) -> bool,
     ) -> ConflictGraph {
-        let mut values: Vec<ValueId> = trace
-            .instructions
-            .iter()
-            .flat_map(|i| i.iter())
-            .filter(|&v| keep(v))
-            .collect();
-        values.sort_unstable();
-        values.dedup();
-
-        // Operand sets are ascending and `values` is sorted, so the dense
-        // ids of one instruction come out ascending: every generated pair
-        // is already normalized to `a < b`.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for inst in &trace.instructions {
-            let ops: Vec<u32> = inst
-                .iter()
-                .filter_map(|v| values.binary_search(&v).ok().map(|i| i as u32))
-                .collect();
-            for i in 0..ops.len() {
-                for j in (i + 1)..ops.len() {
-                    pairs.push((ops[i], ops[j]));
-                }
+        const UNSEEN: u32 = u32::MAX;
+        const KEPT: u32 = 1;
+        let mut dense = vec![UNSEEN; trace.value_table_len()];
+        for v in trace.instructions.iter().flat_map(|i| i.iter()) {
+            let slot = &mut dense[v.index()];
+            if *slot == UNSEEN {
+                *slot = u32::from(keep(v));
             }
         }
+        let mut values: Vec<ValueId> = Vec::new();
+        for (i, slot) in dense.iter_mut().enumerate() {
+            *slot = if *slot == KEPT {
+                values.push(ValueId(i as u32));
+                values.len() as u32 - 1
+            } else {
+                UNSEEN
+            };
+        }
+
+        // Operand sets are ascending and the table preserves value order, so
+        // the dense ids of one instruction come out ascending: every
+        // generated pair is already normalized to `a < b`. A pair packs into
+        // one `u64` as `a << 32 | b`, whose order is the `(a, b)` order.
+        let pair_bound = trace
+            .instructions
+            .iter()
+            .map(|i| i.len() * i.len().saturating_sub(1) / 2)
+            .sum();
+        let mut pairs: Vec<u64> = Vec::with_capacity(pair_bound);
+        let mut ops: Vec<u32> = Vec::new();
+        for inst in &trace.instructions {
+            ops.clear();
+            ops.extend(
+                inst.iter()
+                    .map(|v| dense[v.index()])
+                    .filter(|&d| d != UNSEEN),
+            );
+            for (i, &a) in ops.iter().enumerate() {
+                pairs.extend(
+                    ops[i + 1..]
+                        .iter()
+                        .map(|&b| u64::from(a) << 32 | u64::from(b)),
+                );
+            }
+        }
+        drop(dense);
         pairs.sort_unstable();
         let mut edge_list: Vec<(u32, u32, u32)> = Vec::new();
-        for (a, b) in pairs {
+        for p in pairs {
+            let (a, b) = ((p >> 32) as u32, p as u32);
             match edge_list.last_mut() {
                 Some((la, lb, c)) if *la == a && *lb == b => *c += 1,
                 _ => edge_list.push((a, b, 1)),
@@ -532,95 +494,6 @@ impl BitAdjacency {
     }
 }
 
-/// Repeatedly merge adjacent pairs of sorted lists on the pool until one
-/// remains. The merge operator must be associative with order-independent
-/// combination of equal keys (ours sum counts), so the tournament shape —
-/// which depends on the shard count, not the worker count — never shows in
-/// the result.
-fn merge_tournament<T: Send>(
-    mut lists: Vec<Vec<T>>,
-    jobs: usize,
-    merge2: impl Fn(Vec<T>, Vec<T>) -> Vec<T> + Sync,
-) -> Vec<T> {
-    while lists.len() > 1 {
-        let mut paired: Vec<(Vec<T>, Option<Vec<T>>)> = Vec::with_capacity(lists.len().div_ceil(2));
-        let mut it = lists.into_iter();
-        while let Some(a) = it.next() {
-            paired.push((a, it.next()));
-        }
-        lists = parmem_pool::map_indexed(paired, jobs, |_, (a, b)| match b {
-            Some(b) => merge2(a, b),
-            None => a,
-        });
-    }
-    lists.pop().unwrap_or_default()
-}
-
-/// Merge two sorted deduplicated lists into one.
-fn merge_dedup(a: Vec<ValueId>, b: Vec<ValueId>) -> Vec<ValueId> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Merge two sorted counted edge lists, summing counts of equal pairs.
-fn merge_counted(a: Vec<(u32, u32, u32)>, b: Vec<(u32, u32, u32)>) -> Vec<(u32, u32, u32)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (ka, kb) = ((a[i].0, a[i].1), (b[j].0, b[j].1));
-        match ka.cmp(&kb) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((ka.0, ka.1, a[i].2 + b[j].2));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Run-length count a sorted pair list into `(a, b, count)` triples.
-fn count_runs(pairs: Vec<(u32, u32)>) -> Vec<(u32, u32, u32)> {
-    let mut out: Vec<(u32, u32, u32)> = Vec::new();
-    for (a, b) in pairs {
-        match out.last_mut() {
-            Some((la, lb, c)) if *la == a && *lb == b => *c += 1,
-            _ => out.push((a, b, 1)),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,28 +600,6 @@ mod tests {
                 assert_eq!(g.conf(v, u), c);
                 assert_eq!(g.conf(u, v), c);
             }
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential_on_large_trace() {
-        // Enough instructions to cross PAR_BUILD_MIN_INSTRUCTIONS; a value
-        // universe small enough to force shared edges across shards.
-        let insts: Vec<OperandSet> = (0..6000u32)
-            .map(|i| {
-                let a = (i * 7) % 97;
-                let b = (i * 13 + 1) % 97;
-                let c = (i * 29 + 2) % 97;
-                OperandSet::new(vec![ValueId(a), ValueId(b), ValueId(c)])
-            })
-            .collect();
-        let t = AccessTrace::new(4, insts);
-        let seq = ConflictGraph::build(&t);
-        for jobs in [2, 3, 8] {
-            let par = ConflictGraph::build_with_jobs(&t, jobs);
-            assert_eq!(par.digest(), seq.digest(), "jobs={jobs}");
-            assert_eq!(par.len(), seq.len());
-            assert_eq!(par.edge_count(), seq.edge_count());
         }
     }
 

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::graph::ConflictGraph;
-use crate::types::{AccessTrace, OperandSet, ValueId};
+use crate::types::{AccessTrace, OperandSet, ValueId, MAX_MODULES};
 
 /// Parameters for [`random_trace`].
 #[derive(Clone, Copy, Debug)]
@@ -151,8 +151,8 @@ pub fn clique_trace(modules: usize, cliques: usize, extra: usize, seed: u64) -> 
 
 /// Parameters for the scale-workload generators ([`scale_edges`],
 /// [`scale_graph`], [`scale_trace`]): conflict graphs of 10⁴–10⁶ values with
-/// controlled structure, for exercising the parallel CSR build, the bitset
-/// adjacency, and the per-component coloring fan-out.
+/// controlled structure, for exercising the CSR build, the bitset adjacency,
+/// and the per-component coloring fan-out.
 #[derive(Clone, Copy, Debug)]
 pub struct ScaleSpec {
     /// Number of values (graph vertices). Must be at least `2 * components`
@@ -174,6 +174,34 @@ pub struct ScaleSpec {
     pub components: usize,
     /// Memory modules `k` for the emitted trace.
     pub modules: usize,
+}
+
+impl ScaleSpec {
+    /// Check the spec is one the generators accept: at least one component,
+    /// at least two values per component, values addressable as
+    /// [`ValueId`]s, and `k` within `1..=MAX_MODULES`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.components == 0 {
+            return Err("components must be at least 1".to_string());
+        }
+        if self.values < self.components.saturating_mul(2) {
+            return Err(format!(
+                "values {} is too small for {} components (need at least 2 values per component)",
+                self.values, self.components
+            ));
+        }
+        if self.values > u32::MAX as usize {
+            return Err(format!(
+                "values {} exceeds the value-id range (at most {})",
+                self.values,
+                u32::MAX
+            ));
+        }
+        if !(1..=MAX_MODULES).contains(&self.modules) {
+            return Err(format!("k = {} is outside 1..={MAX_MODULES}", self.modules));
+        }
+        Ok(())
+    }
 }
 
 impl Default for ScaleSpec {
@@ -220,13 +248,12 @@ pub fn scale_edges(spec: &ScaleSpec, seed: u64) -> Vec<(u32, u32, u32)> {
 /// so the 10⁶-value case stays memory-lean). Every 7th edge (index ≡ 3
 /// mod 7) gets conflict weight 2, the rest weight 1 — enough weight variety
 /// to exercise the urgency heuristic without swamping it.
+///
+/// Panics if [`ScaleSpec::validate`] rejects `spec`.
 pub fn scale_workload(spec: &ScaleSpec, seed: u64) -> ScaleWorkload {
-    assert!(spec.components >= 1, "need at least one component");
-    assert!(
-        spec.values >= 2 * spec.components,
-        "every component needs at least 2 vertices"
-    );
-    assert!(spec.values <= u32::MAX as usize);
+    if let Err(e) = spec.validate() {
+        panic!("invalid ScaleSpec: {e}");
+    }
     let n = spec.values;
     let c = spec.components;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

@@ -45,12 +45,21 @@ pub fn take() -> Session {
 
 /// Clone the collector's current contents into a [`Session`] *without*
 /// draining: finished spans, counters, and histograms as of this instant.
-/// This is the live-telemetry read path (the `/metrics` endpoint and the
-/// flight recorder); a concurrent writer may land between the three locks,
-/// so the view is consistent per registry, not across them.
+/// A concurrent writer may land between the three locks, so the view is
+/// consistent per registry, not across them.
 pub fn snapshot() -> Session {
     Session {
         spans: snapshot_records(),
+        ..snapshot_metrics()
+    }
+}
+
+/// [`snapshot`] without the spans: the live-telemetry read path (the
+/// `/metrics` endpoint and the flight recorder), which reads only counters
+/// and histograms and so never copies the span history.
+pub(crate) fn snapshot_metrics() -> Session {
+    Session {
+        spans: Vec::new(),
         counters: snapshot_counters(),
         hists: snapshot_hists(),
     }

@@ -261,7 +261,7 @@ pub fn dump_json(reason: &str, panic: Option<(&str, &str)>) -> String {
         }
         out.push('}');
     }
-    let live = crate::snapshot();
+    let live = crate::export::snapshot_metrics();
     out.push_str("],\"counters\":{");
     for (n, (name, v)) in live.counters.iter().enumerate() {
         if n > 0 {

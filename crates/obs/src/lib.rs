@@ -53,7 +53,9 @@ pub use chrome::{validate as validate_chrome_trace, ChromeStats};
 pub use export::{fmt_duration, snapshot, take, Session};
 pub use metric::{counter_add, hist_record, hist_record_n, split_labels, Histogram, BUCKET_BOUNDS};
 pub use progress::{progress, progress_snapshot, PhaseSnapshot, Progress};
-pub use span::{enabled, set_enabled, span, thread_closed_spans, AttrValue, SpanGuard, SpanRecord};
+pub use span::{
+    drop_spans, enabled, set_enabled, span, thread_closed_spans, AttrValue, SpanGuard, SpanRecord,
+};
 pub use stage::{JobMetrics, StageKind, StageMetrics, StageTimer};
 
 /// Serializes tests that touch the process-global collector. Unit tests in

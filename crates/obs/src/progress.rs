@@ -1,8 +1,8 @@
 //! Per-phase progress tracking with periodic heartbeats.
 //!
-//! A phase (parallel CSR build pass, per-component assignment, the pool's
-//! worker loop, a batch run) opens a [`Progress`] handle with a known item
-//! total and calls [`Progress::tick`] as items complete. The handle is
+//! A phase (per-component assignment, the pool's worker loop, a batch
+//! run) opens a [`Progress`] handle with a known item total and calls
+//! [`Progress::tick`] as items complete. The handle is
 //! `Sync`: pool workers tick one shared handle by reference. While the
 //! collector is disabled [`progress`] returns an inert handle after a
 //! single relaxed atomic load and every `tick` is a no-op on a `None`.

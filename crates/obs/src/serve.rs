@@ -479,18 +479,18 @@ impl MetricsState {
 /// families plus allocator and per-phase progress gauges. Shared by the
 /// HTTP endpoint and anything else that wants a live dump.
 pub fn live_metrics_text() -> String {
-    let mut out = crate::snapshot().metrics_text();
+    let mut out = crate::export::snapshot_metrics().metrics_text();
     let (live, peak) = crate::alloc::global_live_peak();
     gauge(
         &mut out,
         "parmem_alloc_live_bytes",
-        "approximate process-wide live heap bytes",
+        "process-wide live heap bytes",
         live,
     );
     gauge(
         &mut out,
         "parmem_alloc_peak_bytes",
-        "approximate process-wide peak live heap bytes",
+        "process-wide peak live heap bytes",
         peak,
     );
     let phases = crate::progress_snapshot();

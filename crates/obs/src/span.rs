@@ -228,7 +228,15 @@ pub(crate) fn take_records() -> Vec<SpanRecord> {
         .unwrap_or_default()
 }
 
-/// Clone all finished spans without draining (live-snapshot path).
+/// Drop every finished span without exporting it. A long-running process
+/// with no profiling sink (the serve daemon) calls this after each request
+/// so the span history cannot grow without bound; counters, histograms and
+/// the flight recorder's ring are untouched.
+pub fn drop_spans() {
+    drop(take_records());
+}
+
+/// Clone all finished spans without draining ([`crate::snapshot`]).
 pub(crate) fn snapshot_records() -> Vec<SpanRecord> {
     RECORDS.lock().map(|g| g.clone()).unwrap_or_default()
 }
@@ -250,6 +258,20 @@ mod tests {
             assert!(!sp.is_recording());
         }
         assert_eq!(take_records().len(), 0);
+    }
+
+    #[test]
+    fn dropped_spans_leave_counters() {
+        let _guard = crate::test_lock();
+        set_enabled(true);
+        take_records();
+        drop(span("dropped"));
+        crate::counter_add("kept", 1);
+        drop_spans();
+        set_enabled(false);
+        let session = crate::take();
+        assert!(session.spans.is_empty());
+        assert_eq!(session.counters.get("kept"), Some(&1));
     }
 
     #[test]

@@ -72,6 +72,11 @@ pub struct ServeConfig {
     /// Accept the `sleep_ms` test seam in request bodies
     /// (`PARMEM_SERVE_DEBUG=1`; never enabled in production).
     pub debug_hooks: bool,
+    /// Keep every finished span for the process's profiling sink
+    /// (`--profile`, `--trace-out`, `--trace-summary`). Without one, each
+    /// answered request's spans are dropped, so the span history of a
+    /// long-running daemon does not grow.
+    pub keep_spans: bool,
 }
 
 impl Default for ServeConfig {
@@ -87,6 +92,7 @@ impl Default for ServeConfig {
             max_budget_nodes: parmem_exact::ExactConfig::default().budget_nodes,
             max_budget_ms: 0,
             debug_hooks: false,
+            keep_spans: false,
         }
     }
 }
@@ -438,7 +444,11 @@ fn api_response(state: &Arc<DaemonState>, req: &Request, endpoint: Endpoint) -> 
         Err(SubmitError::ShuttingDown) => return error_response(503, "draining"),
     }
 
-    match rx.recv_timeout(Duration::from_millis(state.config.request_budget_ms.max(1))) {
+    let answer = rx.recv_timeout(Duration::from_millis(state.config.request_budget_ms.max(1)));
+    if !state.config.keep_spans {
+        parmem_obs::drop_spans();
+    }
+    match answer {
         Ok(Ok(body)) => {
             let stored = state.cache.lock().unwrap().insert(key, body.clone());
             let etag = stored

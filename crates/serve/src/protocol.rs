@@ -184,12 +184,7 @@ fn parse_synth(v: &Json, k: usize) -> Result<ScaleSpec, String> {
         },
         modules: k,
     };
-    if spec.values < 2 * spec.components {
-        return Err(format!(
-            "synth.values {} is too small for {} components (need at least 2 values per component)",
-            spec.values, spec.components
-        ));
-    }
+    spec.validate().map_err(|e| format!("synth: {e}"))?;
     if spec.values > 2_000_000 {
         return Err("synth.values is capped at 2000000 per request".to_string());
     }

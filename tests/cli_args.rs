@@ -172,3 +172,27 @@ fn serve_flag_contract() {
         assert_eq!(out.status.code(), Some(1), "{bad:?}: {stderr}");
     }
 }
+
+/// Scale specs the generators cannot honor are refused with exit 1 and a
+/// message, never a panic: zero components, `k` outside 1..=64 (with and
+/// without `--assign`), and more values than value ids.
+#[test]
+fn synth_rejects_invalid_scale_specs_with_exit_1() {
+    for (args, message) in [
+        (&["--components", "0"][..], "components must be at least 1"),
+        (&["-k", "0"][..], "outside 1..=64"),
+        (&["-k", "0", "--assign"][..], "outside 1..=64"),
+        (&["-k", "65", "--assign"][..], "outside 1..=64"),
+        (
+            &["-n", "5000000000", "--components", "1"][..],
+            "exceeds the value-id range",
+        ),
+        (&["-n", "3", "--components", "2"][..], "too small"),
+    ] {
+        let out = parmem(&[&["synth"][..], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "synth {args:?}: {stderr}");
+        assert!(stderr.contains(message), "synth {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "synth {args:?}: {stderr}");
+    }
+}

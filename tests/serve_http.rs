@@ -11,7 +11,11 @@
 //! * drain (`POST /v1/shutdown`, and SIGTERM on unix) finishes the
 //!   in-flight request and exits 0;
 //! * control characters in request strings come back escaped, so every
-//!   reply is valid JSON.
+//!   reply is valid JSON;
+//! * the live heap gauge stays flat under repeated requests, because the
+//!   daemon keeps no span history without a profiling sink and the gauge
+//!   is exact across connection threads;
+//! * an invalid synth spec is a 400, never a worker panic.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -107,6 +111,33 @@ fn stats_field(stats: &str, object: &str, field: &str) -> u64 {
                 .and_then(|d| d.parse().ok())
         })
         .unwrap_or_else(|| panic!("no `{object}.{field}` in {stats}"))
+}
+
+/// One gauge's value out of a `/metrics` page.
+fn gauge_value(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no `{name}` gauge in:\n{metrics}"))
+}
+
+fn live_heap_bytes(port: u16) -> u64 {
+    gauge_value(&get(port, "/metrics").2, "parmem_alloc_live_bytes")
+}
+
+/// Send `body` to `endpoint` `n` times, expecting 200 each time.
+fn repeat_post(port: u16, endpoint: &str, body: &str, n: usize) {
+    for _ in 0..n {
+        let (s, _, b) = post(port, endpoint, body);
+        assert_eq!(s, 200, "{b}");
+    }
+}
+
+fn shutdown(port: u16, mut child: Child) {
+    let (s, _, b) = post(port, "/v1/shutdown", "");
+    assert_eq!(s, 200, "{b}");
+    let status = child.wait().expect("child exit");
+    assert!(status.success(), "serve exited with {status:?}");
 }
 
 #[test]
@@ -235,4 +266,69 @@ fn sigterm_drains_gracefully() {
     assert!(term.success());
     let status = child.wait().expect("child exit");
     assert!(status.success(), "SIGTERM drain exited with {status:?}");
+}
+
+#[test]
+fn cache_hits_leave_the_live_heap_gauge_flat() {
+    // Every request runs on its own connection thread; what those threads
+    // allocate and free must cancel out in the process-wide gauge.
+    let mut child = spawn_serve(&[], false);
+    let (port, _reader) = wait_for_port(&mut child);
+    let body = r#"{"workload":"FFT","k":4}"#;
+    repeat_post(port, "/v1/assign", body, 100);
+    live_heap_bytes(port); // the first scrape warms the metrics path
+    let base = live_heap_bytes(port);
+    repeat_post(port, "/v1/assign", body, 1_900);
+    let after = live_heap_bytes(port);
+    assert!(
+        after < base + 64 * 1024,
+        "live heap grew from {base} to {after} bytes over 1900 cache hits"
+    );
+    shutdown(port, child);
+}
+
+#[test]
+fn uncached_requests_keep_no_spans() {
+    // A zero-byte cache makes every request run the whole pipeline, which
+    // opens spans; without a profiling sink the daemon must not keep them.
+    let mut child = spawn_serve(&["--cache-bytes", "0"], false);
+    let (port, _reader) = wait_for_port(&mut child);
+    let body = r#"{"workload":"FFT","k":4}"#;
+    repeat_post(port, "/v1/compile", body, 50);
+    live_heap_bytes(port);
+    let base = live_heap_bytes(port);
+    repeat_post(port, "/v1/compile", body, 300);
+    let after = live_heap_bytes(port);
+    assert!(
+        after < base + 64 * 1024,
+        "live heap grew from {base} to {after} bytes over 300 uncached compiles"
+    );
+    shutdown(port, child);
+}
+
+#[test]
+fn profiling_sink_receives_the_daemon_spans() {
+    let path = std::env::temp_dir().join(format!("parmem-serve-spans-{}.txt", std::process::id()));
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    let mut child = spawn_serve(&["--trace-summary", path_arg], false);
+    let (port, _reader) = wait_for_port(&mut child);
+    repeat_post(port, "/v1/assign", r#"{"workload":"FFT","k":4}"#, 1);
+    shutdown(port, child);
+    let summary = std::fs::read_to_string(&path).expect("trace summary written");
+    let _ = std::fs::remove_file(&path);
+    assert!(summary.contains("assign.pipeline"), "{summary}");
+}
+
+#[test]
+fn invalid_synth_spec_is_a_400() {
+    let mut child = spawn_serve(&[], false);
+    let (port, _reader) = wait_for_port(&mut child);
+    let (s, _, b) = post(
+        port,
+        "/v1/assign",
+        r#"{"synth":{"values":100,"components":0}}"#,
+    );
+    assert_eq!(s, 400, "{b}");
+    assert!(b.contains("components must be at least 1"), "{b}");
+    shutdown(port, child);
 }
