@@ -227,6 +227,37 @@ fn synth_output_is_stable_across_jobs() {
 }
 
 #[test]
+fn serve_shape_synth_is_stable_across_jobs() {
+    // The shape of a `parmem serve` synth request: four 500-vertex
+    // components, each small enough for the atom decomposition, so this
+    // report pins atoms on components far larger than the corpus graphs.
+    let args = [
+        "synth",
+        "-n",
+        "2000",
+        "--edges",
+        "8000",
+        "--components",
+        "4",
+        "--cliques",
+        "4",
+        "--clique-size",
+        "10",
+        "-k",
+        "4",
+        "--seed",
+        "7",
+        "--check",
+        "--assign",
+    ];
+    for jobs in ["1", "8"] {
+        let mut with_jobs: Vec<&str> = args.to_vec();
+        with_jobs.extend(["--jobs", jobs]);
+        check_golden("synth_2000_seed7", &parmem_stdout(&with_jobs));
+    }
+}
+
+#[test]
 fn batch_output_is_stable_across_jobs() {
     let args = ["batch", "FFT", "SORT", "-k", "2,4"];
     let actual = parmem_stdout(&args);
