@@ -20,8 +20,8 @@
 //!
 //! * **hub probe** — adjacency membership tests `(hub, v)` where `hub` is
 //!   drawn from the highest-degree vertices. This is the access pattern of
-//!   the atom decomposition's fill detection and the exact solver's clique
-//!   growth; it compares the CSR binary search, the HashMap probe, and the
+//!   the atom decomposition's separator clique checks and the exact
+//!   solver's clique growth; it compares the CSR binary search, the HashMap probe, and the
 //!   budgeted bitset rows of `BitAdjacency` (which only materialize at
 //!   degree ≥ 64, so on the small paper graphs the bitset column simply
 //!   re-measures the CSR fallback).

@@ -7,16 +7,21 @@
 //! agreement. The coloring heuristic therefore runs per atom.
 //!
 //! Implementation: MCS-M (Berry, Blair, Heggernes & Peyton 2004) computes a
-//! *minimal elimination ordering* and its fill; the decomposition then follows
-//! the standard algorithm (Leimer 1993 / Berry, Pogorelcnik & Simonet 2010):
+//! *minimal elimination ordering*; the decomposition then follows the
+//! standard algorithm (Leimer 1993 / Berry, Pogorelcnik & Simonet 2010):
 //! scan vertices in elimination order, and whenever the vertex's
 //! higher-numbered neighborhood in the *filled* graph is a clique in the
 //! original graph, it is a clique (minimal) separator that splits off an atom.
+//!
+//! Each MCS-M step numbers a vertex `v` and finds S(v), the unnumbered
+//! vertices that some path from `v` reaches through strictly lighter
+//! unnumbered vertices, with a bucket queue over weight levels. A vertex's
+//! higher-numbered filled neighborhood is exactly the set of `v` whose S
+//! held it (original neighbors always join S, and every fill edge comes from
+//! S), so the scan reads those sets as MCS-M records them and never builds
+//! the fill.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use crate::graph::{BitAdjacency, ConflictGraph};
+use crate::graph::ConflictGraph;
 
 /// Result of MCS-M: a minimal elimination ordering plus the fill edges that
 /// make the graph chordal.
@@ -37,89 +42,191 @@ pub struct MinimalOrdering {
 /// vertex reachable through strictly-smaller-weight unnumbered intermediates
 /// has its weight incremented; non-edges among those pairs become fill.
 pub fn mcs_m(g: &ConflictGraph) -> MinimalOrdering {
-    mcs_m_with(g, &g.bit_adjacency(0))
+    let mut fill = Vec::new();
+    let order = number(g, |v, _, filled| {
+        fill.extend(filled.iter().map(|&u| (u.min(v), u.max(v))));
+    });
+    fill.sort_unstable();
+    let mut position = vec![0usize; order.len()];
+    for (i, &v) in order.iter().enumerate() {
+        position[v as usize] = i;
+    }
+    MinimalOrdering {
+        order,
+        position,
+        fill,
+    }
 }
 
-/// [`mcs_m`] reusing an already-built [`BitAdjacency`] (the decomposition
-/// builds one and shares it between the ordering and the clique checks —
-/// both probe `(u, v)` adjacency, which the bitset answers in O(1) for the
-/// high-degree hubs where the CSR search is slowest).
-fn mcs_m_with(g: &ConflictGraph, badj: &BitAdjacency) -> MinimalOrdering {
+/// The MCS-M core: numbers every vertex of `g` from position `n - 1` down
+/// to `0` and returns the elimination order. As it numbers `v` it calls
+/// `step(v, adjacent, filled)`, where `adjacent` and `filled` split S(v)
+/// into `v`'s unnumbered neighbors and the vertices that gain a fill edge to
+/// `v`.
+///
+/// The search from `v` is a monotone bucket queue. A path's cost is the
+/// largest weight among its intermediate vertices, so a vertex first reached
+/// while level `j` is swept has least cost `j`, joins S iff its weight
+/// exceeds `j`, and is passed through at level `max(j, weight)`. The sweep
+/// stops once no unreached vertex outweighs the current level, since none
+/// could join S after that. Numbered vertices are swap-removed from a working
+/// copy of the adjacency, so searches walk unnumbered vertices only.
+fn number(g: &ConflictGraph, mut step: impl FnMut(u32, &[u32], &[u32])) -> Vec<u32> {
     let n = g.len();
-    let mut weight = vec![0i64; n];
+    let mut live = LiveAdjacency::new(g);
+    let mut weight = vec![0u32; n];
     let mut numbered = vec![false; n];
     let mut order = vec![0u32; n];
-    let mut position = vec![0usize; n];
-    let mut fill = Vec::new();
-
-    // `incoming[x]`: minimum over paths from the current vertex of the
-    // maximum intermediate weight (i64::MAX = unreached, -1 = direct edge).
-    let mut incoming = vec![i64::MAX; n];
+    // `unreached[w]`: unnumbered vertices of weight `w` the current search
+    // has not reached (between searches, every unnumbered vertex).
+    let mut unreached = vec![0usize; n + 1];
+    unreached[0] = n;
+    let mut bucket: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // `reached[x] == i` marks `x` as reached by the search of step `i`.
+    let mut reached = vec![usize::MAX; n];
     let mut touched: Vec<u32> = Vec::new();
+    let mut s: Vec<u32> = Vec::new();
 
     for i in (0..n).rev() {
         // Pick unnumbered vertex of maximum weight, lowest id on ties.
         let v = (0..n as u32)
             .filter(|&x| !numbered[x as usize])
-            .max_by_key(|&x| (weight[x as usize], Reverse(x)))
+            .max_by_key(|&x| (weight[x as usize], std::cmp::Reverse(x)))
             .expect("an unnumbered vertex must remain");
         order[i] = v;
-        position[v as usize] = i;
         numbered[v as usize] = true;
+        unreached[weight[v as usize] as usize] -= 1;
+        live.remove(v);
 
-        // Bottleneck Dijkstra from v over unnumbered vertices. A vertex u is
-        // "reached" (∈ S) iff some path from v has all intermediates of
-        // weight < weight[u]; passing *through* x costs max(in, weight[x]).
-        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::new();
-        for &u in g.neighbors(v) {
-            if !numbered[u as usize] && incoming[u as usize] > -1 {
-                if incoming[u as usize] == i64::MAX {
-                    touched.push(u);
-                }
-                incoming[u as usize] = -1;
-                heap.push(Reverse((-1, u)));
-            }
+        // Unreached vertices heavier than the level being swept; every one
+        // of the `i` unnumbered vertices outweighs the start level -1.
+        let mut above = i;
+        let mut top = 0usize;
+        for &u in live.neighbors(v) {
+            let w = weight[u as usize] as usize;
+            reached[u as usize] = i;
+            touched.push(u);
+            s.push(u);
+            unreached[w] -= 1;
+            above -= 1;
+            bucket[w].push(u);
+            top = top.max(w);
         }
-        while let Some(Reverse((inc, x))) = heap.pop() {
-            if inc > incoming[x as usize] {
-                continue; // stale entry
-            }
-            // Can only pass through x if x qualifies as an intermediate for
-            // the next hop; the cost of doing so includes weight[x].
-            let through = inc.max(weight[x as usize]);
-            for &y in g.neighbors(x) {
-                if numbered[y as usize] || y == v {
-                    continue;
-                }
-                if through < incoming[y as usize] {
-                    if incoming[y as usize] == i64::MAX {
-                        touched.push(y);
+        let adjacent = s.len();
+        let mut level = 0usize;
+        above -= unreached[0];
+        'sweep: while level <= top && above > 0 {
+            while let Some(x) = bucket[level].pop() {
+                for &z in live.neighbors(x) {
+                    if reached[z as usize] == i {
+                        continue;
                     }
-                    incoming[y as usize] = through;
-                    heap.push(Reverse((through, y)));
+                    reached[z as usize] = i;
+                    touched.push(z);
+                    let w = weight[z as usize] as usize;
+                    unreached[w] -= 1;
+                    if w > level {
+                        s.push(z);
+                        above -= 1;
+                        bucket[w].push(z);
+                        top = top.max(w);
+                    } else {
+                        bucket[level].push(z);
+                    }
+                }
+                if above == 0 {
+                    break 'sweep;
                 }
             }
+            level += 1;
+            above -= unreached[level];
+        }
+        for b in bucket.iter_mut().take(top + 1).skip(level) {
+            b.clear();
         }
 
-        // All touched vertices with incoming < weight[u] form S.
-        for &u in &touched {
-            if incoming[u as usize] < weight[u as usize] {
-                weight[u as usize] += 1;
-                if !badj.has_edge(g, u, v) {
-                    fill.push((u.min(v), u.max(v)));
+        for &x in &touched {
+            unreached[weight[x as usize] as usize] += 1;
+        }
+        for &u in &s {
+            let w = &mut weight[u as usize];
+            unreached[*w as usize] -= 1;
+            *w += 1;
+            unreached[*w as usize] += 1;
+        }
+        step(v, &s[..adjacent], &s[adjacent..]);
+        touched.clear();
+        s.clear();
+    }
+    order
+}
+
+/// A working copy of a graph's adjacency from which vertices are deleted in
+/// O(degree): each row keeps its live neighbors in a prefix, and `twin`
+/// links every slot to the slot holding the same edge in the other row, so
+/// deleting `v` swap-removes it from each neighbor's row directly.
+struct LiveAdjacency {
+    start: Vec<u32>,
+    len: Vec<u32>,
+    adj: Vec<u32>,
+    twin: Vec<u32>,
+}
+
+impl LiveAdjacency {
+    fn new(g: &ConflictGraph) -> LiveAdjacency {
+        let n = g.len();
+        let mut start = Vec::with_capacity(n);
+        let mut len = Vec::with_capacity(n);
+        let mut adj = Vec::new();
+        for v in 0..n as u32 {
+            start.push(adj.len() as u32);
+            len.push(g.degree(v) as u32);
+            adj.extend_from_slice(g.neighbors(v));
+        }
+        // Rows are ascending, so row `w`'s neighbors below `w` lead it in
+        // the order the ascending walk over `u` meets them.
+        let mut twin = vec![0u32; adj.len()];
+        let mut below = vec![0u32; n];
+        for u in 0..n {
+            let row = start[u] as usize..(start[u] + len[u]) as usize;
+            for slot in row {
+                let w = adj[slot] as usize;
+                if w > u {
+                    let other = start[w] + below[w];
+                    below[w] += 1;
+                    twin[slot] = other;
+                    twin[other as usize] = slot as u32;
                 }
             }
-            incoming[u as usize] = i64::MAX;
         }
-        touched.clear();
+        LiveAdjacency {
+            start,
+            len,
+            adj,
+            twin,
+        }
     }
 
-    fill.sort_unstable();
-    fill.dedup();
-    MinimalOrdering {
-        order,
-        position,
-        fill,
+    /// Live neighbors of `v`. A deleted vertex keeps the row it had when it
+    /// was deleted.
+    fn neighbors(&self, v: u32) -> &[u32] {
+        let lo = self.start[v as usize] as usize;
+        &self.adj[lo..lo + self.len[v as usize] as usize]
+    }
+
+    /// Delete `v` from every live neighbor's row.
+    fn remove(&mut self, v: u32) {
+        let lo = self.start[v as usize] as usize;
+        for slot in lo..lo + self.len[v as usize] as usize {
+            let w = self.adj[slot] as usize;
+            let hole = self.twin[slot] as usize;
+            self.len[w] -= 1;
+            let last = (self.start[w] + self.len[w]) as usize;
+            let moved_twin = self.twin[last];
+            self.adj[hole] = self.adj[last];
+            self.twin[hole] = moved_twin;
+            self.twin[moved_twin as usize] = hole as u32;
+        }
     }
 }
 
@@ -131,107 +238,110 @@ pub fn atoms(g: &ConflictGraph) -> Vec<Vec<u32>> {
     if n == 0 {
         return Vec::new();
     }
+    // `higher[x]`: x's higher-numbered neighbors in the filled graph, that
+    // is every `v` whose S held `x`.
+    let mut higher: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let order = number(g, |v, adjacent, filled| {
+        for &u in adjacent.iter().chain(filled) {
+            higher[u as usize].push(v);
+        }
+    });
     let badj = g.bit_adjacency(0);
-    let mo = mcs_m_with(g, &badj);
-
-    // Filled-graph adjacency (original edges + fill).
-    let mut filled_adj: Vec<Vec<u32>> = (0..n).map(|v| g.neighbors(v as u32).to_vec()).collect();
-    for &(a, b) in &mo.fill {
-        filled_adj[a as usize].push(b);
-        filled_adj[b as usize].push(a);
-    }
 
     // Working graph G'': vertices get removed as atoms split off.
     let mut alive = vec![true; n];
+    let mut search = ComponentSearch::new(n);
+    let mut madj: Vec<u32> = Vec::new();
     let mut out = Vec::new();
 
-    for i in 0..n {
-        let x = mo.order[i];
+    for &x in &order {
         if !alive[x as usize] {
             continue;
         }
-        // madj(x): higher-ordered neighbors of x in the filled graph that are
-        // still alive.
-        let madj: Vec<u32> = filled_adj[x as usize]
-            .iter()
-            .copied()
-            .filter(|&w| mo.position[w as usize] > i && alive[w as usize])
-            .collect();
+        // madj(x): higher-numbered filled neighbors of x still alive.
+        madj.clear();
+        madj.extend(higher[x as usize].iter().filter(|&&w| alive[w as usize]));
         if madj.is_empty() || !badj.is_clique(g, &madj) {
             continue;
         }
         // madj is a clique — but it only yields an atom if it genuinely
         // *separates* x's remaining component (otherwise x's component is
         // swept up by the final per-component pass).
-        let comp = component_of(g, x, &alive, &madj);
-        let full_comp = component_of(g, x, &alive, &[]);
-        if comp.len() + madj.len() >= full_comp.len() {
+        let full_comp = search.run(g, x, &alive, &[]);
+        let comp = search.run(g, x, &alive, &madj);
+        if comp + madj.len() >= full_comp {
             continue; // separator removes nothing: not a real split
         }
-        let mut atom = comp.clone();
+        let mut atom = search.comp.clone();
         atom.extend_from_slice(&madj);
-        for &c in &comp {
+        for &c in &search.comp {
             alive[c as usize] = false;
         }
         out.push(sorted(atom));
     }
 
-    // Any remaining vertices form the final atom(s) — group by component.
-    let remaining: Vec<u32> = (0..n as u32).filter(|&v| alive[v as usize]).collect();
-    if !remaining.is_empty() {
-        let mut seen = vec![false; n];
-        for &s in &remaining {
-            if seen[s as usize] {
-                continue;
+    // Any remaining vertices form the final atom(s) — one per component,
+    // ordered by smallest vertex.
+    for s in 0..n as u32 {
+        if alive[s as usize] {
+            search.run(g, s, &alive, &[]);
+            for &c in &search.comp {
+                alive[c as usize] = false;
             }
-            let comp = {
-                let mut comp = Vec::new();
-                let mut stack = vec![s];
-                seen[s as usize] = true;
-                while let Some(v) = stack.pop() {
-                    comp.push(v);
-                    for &w in g.neighbors(v) {
-                        if alive[w as usize] && !seen[w as usize] {
-                            seen[w as usize] = true;
-                            stack.push(w);
-                        }
-                    }
-                }
-                comp
-            };
-            out.push(sorted(comp));
+            out.push(sorted(search.comp.clone()));
         }
     }
 
     out
 }
 
-/// Connected component of `start` in the graph induced on `alive` vertices
-/// minus the `removed` separator.
-fn component_of(g: &ConflictGraph, start: u32, alive: &[bool], removed: &[u32]) -> Vec<u32> {
-    let mut blocked = vec![false; g.len()];
-    for &r in removed {
-        blocked[r as usize] = true;
-    }
-    let mut seen = vec![false; g.len()];
-    let mut comp = Vec::new();
-    let mut stack = vec![start];
-    seen[start as usize] = true;
-    while let Some(v) = stack.pop() {
-        comp.push(v);
-        for &w in g.neighbors(v) {
-            if alive[w as usize] && !blocked[w as usize] && !seen[w as usize] {
-                seen[w as usize] = true;
-                stack.push(w);
-            }
+/// Reusable scratch for the separator scan's component searches: one
+/// stamped mark per vertex, so a search costs the component it walks.
+struct ComponentSearch {
+    mark: Vec<u32>,
+    stamp: u32,
+    stack: Vec<u32>,
+    /// The component found by the last [`ComponentSearch::run`].
+    comp: Vec<u32>,
+}
+
+impl ComponentSearch {
+    fn new(n: usize) -> ComponentSearch {
+        ComponentSearch {
+            mark: vec![0; n],
+            stamp: 0,
+            stack: Vec::new(),
+            comp: Vec::new(),
         }
     }
-    comp
+
+    /// Collect into `comp` the connected component of `start` in the graph
+    /// induced on `alive` vertices minus the `removed` separator, and return
+    /// its size.
+    fn run(&mut self, g: &ConflictGraph, start: u32, alive: &[bool], removed: &[u32]) -> usize {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        for &r in removed {
+            self.mark[r as usize] = stamp;
+        }
+        self.comp.clear();
+        self.mark[start as usize] = stamp;
+        self.stack.push(start);
+        while let Some(v) = self.stack.pop() {
+            self.comp.push(v);
+            for &w in g.neighbors(v) {
+                if alive[w as usize] && self.mark[w as usize] != stamp {
+                    self.mark[w as usize] = stamp;
+                    self.stack.push(w);
+                }
+            }
+        }
+        self.comp.len()
+    }
 }
 
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
-    v.dedup();
     v
 }
 
