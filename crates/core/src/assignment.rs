@@ -22,7 +22,8 @@ use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueM
 /// single-threaded (and therefore golden-stable).
 const PAR_COMPONENT_MIN_VERTICES: usize = 4096;
 
-/// Atom decomposition (MCS-M) is quadratic in component size; past this many
+/// Atom decomposition costs O(n·m) in the component's vertices and edges
+/// (each MCS-M step may search the whole component); past this many
 /// vertices a component is colored whole. Synthetic scale workloads land
 /// here, the paper's traces never do.
 const ATOM_MAX_VERTICES: usize = 2048;
@@ -387,7 +388,7 @@ struct ColoredComponent {
 
 /// Color one connected component of `g` (read-only; safe to run on a pool
 /// worker). Atoms decompose the component first (paper §2.1) unless it is
-/// too large for quadratic MCS-M — Tarjan's theorem guarantees a per-atom
+/// too large for O(n·m) MCS-M — Tarjan's theorem guarantees a per-atom
 /// coloring extends to the whole graph, but only up to a *permutation* of
 /// colors per atom, so the greedy heuristic with hard-fixed separators can
 /// strand nodes an un-decomposed run would color. When that happens we fall
@@ -462,8 +463,12 @@ fn color_component_by_atoms(
     let atom_sets = atoms::atoms(sub);
     *n_atoms += atom_sets.len();
     let mut colors: Vec<(u32, ModuleId)> = Vec::new();
-    let mut local: std::collections::HashMap<u32, ModuleId> = Default::default();
+    // `local[v]`: the module vertex `v` of `sub` received from an earlier
+    // atom; `in_unas[v]`: whether `v` is already in `unas` (kept in push
+    // order).
+    let mut local: Vec<Option<ModuleId>> = vec![None; sub.len()];
     let mut unas: Vec<u32> = Vec::new();
+    let mut in_unas = vec![false; sub.len()];
 
     for atom in atom_sets.iter().rev() {
         let asub = sub.induced(atom);
@@ -480,7 +485,7 @@ fn color_component_by_atoms(
             let mut ok = true;
             for &(v, m) in &fresh.assigned {
                 let sv = atom[v as usize];
-                if let Some(&target) = local.get(&sv) {
+                if let Some(target) = local[sv as usize] {
                     match perm[m.index()] {
                         None => {
                             if used_target.contains(target) {
@@ -511,14 +516,15 @@ fn color_component_by_atoms(
                 for &(v, m) in &fresh.assigned {
                     let sv = atom[v as usize];
                     let target = perm[m.index()].expect("complete");
-                    if let std::collections::hash_map::Entry::Vacant(e) = local.entry(sv) {
-                        e.insert(target);
+                    if local[sv as usize].is_none() {
+                        local[sv as usize] = Some(target);
                         colors.push((sv, target));
                     }
                 }
                 for &v in &fresh.unassigned {
                     let sv = atom[v as usize];
-                    if !unas.contains(&sv) && !local.contains_key(&sv) {
+                    if !in_unas[sv as usize] && local[sv as usize].is_none() {
+                        in_unas[sv as usize] = true;
                         unas.push(sv);
                     }
                 }
@@ -531,7 +537,7 @@ fn color_component_by_atoms(
             // permutation failed).
             let coloring = color_graph(&asub, k, params.module_choice, |v| {
                 let sv = atom[v as usize];
-                if let Some(&m) = local.get(&sv) {
+                if let Some(m) = local[sv as usize] {
                     ModuleSet::singleton(m)
                 } else {
                     assignment.copies(asub.value(v))
@@ -539,12 +545,13 @@ fn color_component_by_atoms(
             });
             for &(v, m) in &coloring.assigned {
                 let sv = atom[v as usize];
-                local.insert(sv, m);
+                local[sv as usize] = Some(m);
                 colors.push((sv, m));
             }
             for &v in &coloring.unassigned {
                 let sv = atom[v as usize];
-                if !unas.contains(&sv) {
+                if !in_unas[sv as usize] {
+                    in_unas[sv as usize] = true;
                     unas.push(sv);
                 }
             }
