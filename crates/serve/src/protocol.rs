@@ -118,6 +118,13 @@ const EXACT_FIELDS: &[&str] = &["budget_nodes", "budget_ms", "no_portfolio"];
 const LINT_FIELDS: &[&str] = &["predict"];
 const SYNTH_FIELDS: &[&str] = &["values", "edges", "cliques", "clique_size", "components"];
 
+/// Per-request caps on a synth spec: at most this many values, and at most
+/// four times as many target edges or planted-clique pairs (the default
+/// density at the value cap), so no one request can claim more memory than
+/// the largest default-shaped workload.
+const SYNTH_MAX_VALUES: usize = 2_000_000;
+const SYNTH_MAX_EDGES: usize = 4 * SYNTH_MAX_VALUES;
+
 fn accepted_fields(endpoint: Endpoint, debug: bool) -> Vec<&'static str> {
     let mut f: Vec<&str> = BASE_FIELDS.to_vec();
     match endpoint {
@@ -185,8 +192,20 @@ fn parse_synth(v: &Json, k: usize) -> Result<ScaleSpec, String> {
         modules: k,
     };
     spec.validate().map_err(|e| format!("synth: {e}"))?;
-    if spec.values > 2_000_000 {
-        return Err("synth.values is capped at 2000000 per request".to_string());
+    if spec.values > SYNTH_MAX_VALUES {
+        return Err(format!(
+            "synth.values is capped at {SYNTH_MAX_VALUES} per request"
+        ));
+    }
+    if spec.edge_target() > SYNTH_MAX_EDGES {
+        return Err(format!(
+            "synth.edges is capped at {SYNTH_MAX_EDGES} per request"
+        ));
+    }
+    if spec.planted_pairs() > SYNTH_MAX_EDGES {
+        return Err(format!(
+            "synth cliques may span at most {SYNTH_MAX_EDGES} vertex pairs per request"
+        ));
     }
     Ok(spec)
 }
