@@ -2,7 +2,8 @@
 //! string escaper every hand-built JSON document goes through, and a
 //! minimal recursive-descent reader, used by the serve protocol, the
 //! Chrome-trace validator and the exporter tests. The reader accepts
-//! standard JSON; numbers are parsed as `f64`.
+//! standard JSON nested at most [`MAX_DEPTH`] arrays and objects deep;
+//! numbers are parsed as `f64`.
 
 use std::fmt::Write as _;
 
@@ -78,11 +79,22 @@ impl Json {
     }
 }
 
+/// How many arrays and objects [`parse`] accepts inside one another. The
+/// reader recurses once per level, so the bound keeps a hostile document
+/// from exhausting the stack; the deepest document the workspace writes
+/// (the `trace --format json` span tree) nests 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting past [`MAX_DEPTH`] rejected).
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { src, bytes, pos: 0 };
+    let mut p = Parser {
+        src,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -96,6 +108,8 @@ struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,8 +143,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -295,6 +323,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{}x").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| r#"{"a":"#.repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+        ] {
+            let err = parse(&doc).unwrap_err();
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
     }
 
     #[test]
