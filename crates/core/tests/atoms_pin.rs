@@ -209,7 +209,9 @@ fn placement_digest(trace: &AccessTrace) -> u64 {
 }
 
 /// Expected placement digest per k ∈ {2,4,8}, folded over seeds 0..10.
-const SERVE_PLACEMENT: [u64; 3] = [0xe0781bee205ab0b6, 0x1f8c4e5270b067dc, 0xcaae9300f922f812];
+/// These 500-vertex components are above the atom decomposition's bound,
+/// so `assign_trace` colors them whole.
+const SERVE_PLACEMENT: [u64; 3] = [0x12146735834ed5aa, 0x1ba11d5e3fde2e4d, 0xe46e81838d123b5a];
 
 #[test]
 fn serve_shape_traces_place_identically() {

@@ -112,7 +112,7 @@ fn scale_trace_places_identically() {
     );
     assert_eq!(
         got,
-        (0x4cd84147da8db688, 0x8eb2651c1355a81a),
+        (0xe523fd0c4e4169cd, 0x313c297506e3341b),
         "placement moved: {got:#x?}"
     );
 }
