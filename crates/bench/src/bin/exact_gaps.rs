@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use parmem_core::assignment::AssignParams;
+use parmem_bench::baseline_rows;
 use parmem_driver::Session;
 use parmem_exact::{heuristic_single_copy_residual, solve_certificate, ExactConfig};
 
@@ -55,7 +55,7 @@ fn measure() -> Vec<Row> {
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
             let trace = prog.sched.access_trace();
             let cert = solve_certificate(&trace, &ExactConfig::default());
-            let heuristic = heuristic_single_copy_residual(&trace, &AssignParams::default());
+            let heuristic = heuristic_single_copy_residual(&trace);
             let check = parmem_verify::verify_certificate(&trace, &cert, Some(heuristic));
             rows.push(Row {
                 program: b.name.to_string(),
@@ -126,31 +126,6 @@ fn format_table(rows: &[Row]) -> String {
     s
 }
 
-/// Minimal field extraction from our own fixed-format row objects — the
-/// baseline is always a previous run of this binary, so no general JSON
-/// parser is needed (the workspace is registry-free by design).
-fn baseline_rows(text: &str) -> Vec<(String, usize, isize, String)> {
-    fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let start = obj.find(&pat)? + pat.len();
-        let rest = &obj[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim_matches('"'))
-    }
-    text.split("{\"program\":")
-        .skip(1)
-        .filter_map(|chunk| {
-            let obj = format!("{{\"program\":{chunk}");
-            Some((
-                field(&obj, "program")?.to_string(),
-                field(&obj, "k")?.parse().ok()?,
-                field(&obj, "gap")?.parse().ok()?,
-                field(&obj, "status")?.to_string(),
-            ))
-        })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let baseline_path = args
@@ -178,7 +153,20 @@ fn main() -> ExitCode {
 
     if let Some(path) = baseline_path {
         let text = std::fs::read_to_string(&path).expect("read baseline");
-        let base = baseline_rows(&text);
+        let base = match baseline_rows(&text, |r| {
+            Some((
+                r.get("program")?.as_str()?.to_string(),
+                r.get("k")?.as_num()? as usize,
+                r.get("gap")?.as_num()? as isize,
+                r.get("status")?.as_str()?.to_string(),
+            ))
+        }) {
+            Ok(base) => base,
+            Err(e) => {
+                eprintln!("FAIL: baseline {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let mut regressions = 0;
         for r in &rows {
             match base

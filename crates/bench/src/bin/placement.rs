@@ -25,6 +25,7 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use parmem_bench::baseline_rows;
 use parmem_core::layout::ArrayPolicy;
 use parmem_driver::{run_job, JobSpec};
 use parmem_lint::T_AVE_TOLERANCE;
@@ -144,31 +145,6 @@ fn format_table(rows: &[Row]) -> String {
     s
 }
 
-/// Minimal field extraction from our own fixed-format row objects — the
-/// baseline is always a previous run of this binary, so no general JSON
-/// parser is needed (the workspace is registry-free by design).
-fn baseline_rows(text: &str) -> Vec<(String, usize, String, u64)> {
-    fn field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-        let pat = format!("\"{key}\":");
-        let start = obj.find(&pat)? + pat.len();
-        let rest = &obj[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim_matches('"'))
-    }
-    text.split("{\"program\":")
-        .skip(1)
-        .filter_map(|chunk| {
-            let obj = format!("{{\"program\":{chunk}");
-            Some((
-                field(&obj, "program")?.to_string(),
-                field(&obj, "k")?.parse().ok()?,
-                field(&obj, "policy")?.to_string(),
-                field(&obj, "t_measured")?.parse().ok()?,
-            ))
-        })
-        .collect()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let baseline_path = args
@@ -201,7 +177,20 @@ fn main() -> ExitCode {
 
     if let Some(path) = baseline_path {
         let text = std::fs::read_to_string(&path).expect("read baseline");
-        let base = baseline_rows(&text);
+        let base = match baseline_rows(&text, |r| {
+            Some((
+                r.get("program")?.as_str()?.to_string(),
+                r.get("k")?.as_num()? as usize,
+                r.get("policy")?.as_str()?.to_string(),
+                r.get("t_measured")?.as_num()? as u64,
+            ))
+        }) {
+            Ok(base) => base,
+            Err(e) => {
+                eprintln!("FAIL: baseline {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let mut regressions = 0;
         for r in &rows {
             match base

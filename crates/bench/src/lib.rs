@@ -11,9 +11,9 @@
 //! * `cargo run -p parmem-bench --bin speedup` — the §3 prose claim
 //!   (overall RLIW speed-up, 64–300% in the paper).
 //!
-//! The `benches/` directory adds criterion microbenchmarks and ablations
-//! (coloring heuristic vs. first-fit, backtracking vs. hitting-set, atom
-//! decomposition on/off, end-to-end pipeline cost).
+//! The `exact_gaps` and `placement` bins check their sweeps against the
+//! committed `baselines/BENCH_*.json` reports ([`baseline_rows`] reads
+//! them), and the `e2e` bin is the end-to-end benchmark.
 //!
 //! All three table generators run on the `parmem-batch` work-stealing
 //! engine: each benchmark × configuration becomes one job, executed
@@ -24,6 +24,7 @@ use liw_ir::unroll::UnrollConfig;
 use parmem_batch::BatchOptions;
 use parmem_core::strategies::Strategy;
 use parmem_driver::{JobOutput, JobResult, JobSpec, Session};
+use parmem_obs::json::{self, Json};
 use rliw_sim::pipeline::{CompiledProgram, Table2Row};
 use rliw_sim::CompileOptions;
 use workloads::benchmarks;
@@ -299,6 +300,22 @@ pub fn format_speedup(rows: &[SpeedupRow]) -> String {
         ));
     }
     s
+}
+
+/// The rows of a `BENCH_*.json` report, each mapped by `row`, which returns
+/// `None` when a member it needs is missing or mistyped. A document or row
+/// that cannot be read is an error, so a damaged baseline fails its check
+/// instead of skipping rows.
+pub fn baseline_rows<T>(text: &str, row: impl Fn(&Json) -> Option<T>) -> Result<Vec<T>, String> {
+    let doc = json::parse(text)?;
+    let rows = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .ok_or("no `rows` array")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, r)| row(r).ok_or_else(|| format!("row {i} lacks a checked member")))
+        .collect()
 }
 
 #[cfg(test)]

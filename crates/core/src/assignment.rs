@@ -10,7 +10,7 @@
 //!    hitting-set algorithm (Figs. 7/9/10).
 
 use crate::atoms;
-use crate::coloring::{color_graph, ModuleChoice};
+use crate::coloring::color_graph;
 use crate::duplication::{backtrack_duplicate, hitting_set_duplicate};
 use crate::graph::ConflictGraph;
 use crate::matching;
@@ -171,8 +171,6 @@ pub enum DuplicationStrategy {
 /// Tunables for the end-to-end assignment.
 #[derive(Clone, Copy, Debug)]
 pub struct AssignParams {
-    /// How a colored node picks among available modules.
-    pub module_choice: ModuleChoice,
     /// Duplication algorithm for uncolorable values.
     pub duplication: DuplicationStrategy,
     /// Whether to decompose the conflict graph into atoms first (paper §2.1).
@@ -188,7 +186,6 @@ pub struct AssignParams {
 impl Default for AssignParams {
     fn default() -> Self {
         AssignParams {
-            module_choice: ModuleChoice::LowestIndex,
             duplication: DuplicationStrategy::HittingSet,
             use_atoms: true,
             jobs: 0,
@@ -413,12 +410,10 @@ fn color_component(
     let mut n_atoms = 0usize;
 
     let (mut colors, mut unas) = if use_atoms {
-        color_component_by_atoms(&sub, k, params, frozen, &mut n_atoms)
+        color_component_by_atoms(&sub, k, frozen, &mut n_atoms)
     } else {
         n_atoms += 1;
-        let c = color_graph(&sub, k, params.module_choice, |v| {
-            frozen.copies(sub.value(v))
-        });
+        let c = color_graph(&sub, k, |v| frozen.copies(sub.value(v)));
         (c.assigned, c.unassigned)
     };
 
@@ -430,9 +425,7 @@ fn color_component(
         // atom decomposition a pure efficiency feature.
         let valid = merged_coloring_valid(&sub, &colors, frozen);
         if !valid || !unas.is_empty() {
-            let whole = color_graph(&sub, k, params.module_choice, |v| {
-                frozen.copies(sub.value(v))
-            });
+            let whole = color_graph(&sub, k, |v| frozen.copies(sub.value(v)));
             if !valid || whole.unassigned.len() < unas.len() {
                 colors = whole.assigned;
                 unas = whole.unassigned;
@@ -462,7 +455,6 @@ fn color_component(
 fn color_component_by_atoms(
     sub: &ConflictGraph,
     k: usize,
-    params: &AssignParams,
     assignment: &Assignment,
     n_atoms: &mut usize,
 ) -> (Vec<(u32, ModuleId)>, Vec<u32>) {
@@ -485,7 +477,7 @@ fn color_component_by_atoms(
         let mut merged = false;
         if !stage_fixed_present {
             // Independent coloring + permutation alignment.
-            let fresh = color_graph(&asub, k, params.module_choice, |_| ModuleSet::EMPTY);
+            let fresh = color_graph(&asub, k, |_| ModuleSet::EMPTY);
             let mut perm: Vec<Option<ModuleId>> = vec![None; k];
             let mut used_target = ModuleSet::EMPTY;
             let mut ok = true;
@@ -541,7 +533,7 @@ fn color_component_by_atoms(
         if !merged {
             // Fixed-constraint greedy (stage-fixed values present, or the
             // permutation failed).
-            let coloring = color_graph(&asub, k, params.module_choice, |v| {
+            let coloring = color_graph(&asub, k, |v| {
                 let sv = atom[v as usize];
                 if let Some(m) = local[sv as usize] {
                     ModuleSet::singleton(m)

@@ -246,7 +246,6 @@ pub fn atoms(g: &ConflictGraph) -> Vec<Vec<u32>> {
             higher[u as usize].push(v);
         }
     });
-    let badj = g.bit_adjacency(0);
 
     // Working graph G'': vertices get removed as atoms split off.
     let mut alive = vec![true; n];
@@ -261,7 +260,7 @@ pub fn atoms(g: &ConflictGraph) -> Vec<Vec<u32>> {
         // madj(x): higher-numbered filled neighbors of x still alive.
         madj.clear();
         madj.extend(higher[x as usize].iter().filter(|&&w| alive[w as usize]));
-        if madj.is_empty() || !badj.is_clique(g, &madj) {
+        if madj.is_empty() || !g.is_clique(&madj) {
             continue;
         }
         // madj is a clique — but it only yields an atom if it genuinely

@@ -26,18 +26,6 @@ use std::cmp::Ordering;
 use crate::graph::ConflictGraph;
 use crate::types::{ModuleId, ModuleSet};
 
-/// How to pick among multiple still-available modules when coloring a node
-/// (the paper leaves this choice open: "one of the available modules").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ModuleChoice {
-    /// Always the lowest-numbered available module (deterministic; default).
-    #[default]
-    LowestIndex,
-    /// The available module that currently holds the fewest colored values —
-    /// spreads load, used in the ablation benchmarks.
-    LeastUsed,
-}
-
 /// Outcome of coloring one graph (usually one atom).
 #[derive(Clone, Debug, Default)]
 pub struct Coloring {
@@ -174,7 +162,9 @@ impl UrgencyHeap {
     }
 }
 
-/// Color `g` with `k` modules using the Fig. 4 heuristic.
+/// Color `g` with `k` modules using the Fig. 4 heuristic. Where the paper
+/// gives a node "one of the available modules", it takes the
+/// lowest-numbered one.
 ///
 /// `fixed(v)` reports pre-existing copies of vertex `v` (e.g. the clique
 /// separator shared with an already-colored atom, or values placed by an
@@ -185,7 +175,6 @@ impl UrgencyHeap {
 pub fn color_graph(
     g: &ConflictGraph,
     k: usize,
-    choice: ModuleChoice,
     mut fixed: impl FnMut(u32) -> ModuleSet,
 ) -> Coloring {
     let n = g.len();
@@ -218,7 +207,6 @@ pub fn color_graph(
     // Per-vertex state.
     let mut forbidden = vec![ModuleSet::EMPTY; n];
     let mut urg_num = vec![0u64; n];
-    let mut module_load = vec![0usize; k];
 
     // Seed constraints from fixed vertices.
     for v in 0..n as u32 {
@@ -228,9 +216,6 @@ pub fn color_graph(
         }
         if fs.len() == 1 {
             let m = fs.first().unwrap();
-            if m.index() < k {
-                module_load[m.index()] += 1;
-            }
             let w = heavy(v);
             for (j, c) in g.neighbors_with_conf(v) {
                 if !is_fixed(j) {
@@ -270,18 +255,9 @@ pub fn color_graph(
         let v = top.vertex;
         out.order.push(v);
 
-        let available = all_modules.difference(forbidden[v as usize]);
-        let chosen = match choice {
-            ModuleChoice::LowestIndex => available.first(),
-            ModuleChoice::LeastUsed => available
-                .iter()
-                .min_by_key(|m| (module_load[m.index()], m.index())),
-        };
-
-        match chosen {
+        match all_modules.difference(forbidden[v as usize]).first() {
             None => out.unassigned.push(v),
             Some(m) => {
-                module_load[m.index()] += 1;
                 out.assigned.push((v, m));
                 // Update uncolored neighbors.
                 let w = heavy(v);
@@ -340,7 +316,7 @@ mod tests {
     fn fig1_fully_colorable() {
         let t = AccessTrace::from_lists(3, &[&[1, 2, 4], &[2, 3, 5], &[2, 3, 4]]);
         let g = ConflictGraph::build(&t);
-        let c = color_graph(&g, 3, ModuleChoice::LowestIndex, no_fixed);
+        let c = color_graph(&g, 3, no_fixed);
         assert!(c.unassigned.is_empty(), "unassigned: {:?}", c.unassigned);
         assert_eq!(c.assigned.len(), 5);
         assert!(coloring_is_valid(&g, &c));
@@ -366,7 +342,7 @@ mod tests {
         let g = ConflictGraph::build(&t);
         // This graph is K5 (every pair co-occurs): not 3-colorable.
         assert_eq!(g.edge_count(), 10);
-        let c = color_graph(&g, 3, ModuleChoice::LowestIndex, no_fixed);
+        let c = color_graph(&g, 3, no_fixed);
         assert!(!c.unassigned.is_empty());
         // A K5 needs 5 colors; with 3 colors exactly 2 nodes must be removed.
         assert_eq!(c.unassigned.len(), 2, "unassigned: {:?}", c.unassigned);
@@ -376,7 +352,7 @@ mod tests {
     #[test]
     fn triangle_with_two_colors_drops_one() {
         let g = ConflictGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 1)]);
-        let c = color_graph(&g, 2, ModuleChoice::LowestIndex, no_fixed);
+        let c = color_graph(&g, 2, no_fixed);
         assert_eq!(c.assigned.len(), 2);
         assert_eq!(c.unassigned.len(), 1);
         assert!(coloring_is_valid(&g, &c));
@@ -386,7 +362,7 @@ mod tests {
     fn fixed_single_copy_forbids_module() {
         // Edge 0-1; vertex 0 fixed in M0 → vertex 1 must avoid M0.
         let g = ConflictGraph::from_edges(2, &[(0, 1, 1)]);
-        let c = color_graph(&g, 2, ModuleChoice::LowestIndex, |v| {
+        let c = color_graph(&g, 2, |v| {
             if v == 0 {
                 ModuleSet::singleton(ModuleId(0))
             } else {
@@ -401,7 +377,7 @@ mod tests {
     fn fixed_multi_copy_does_not_forbid() {
         // Vertex 0 fixed with copies in both modules; vertex 1 may use M0.
         let g = ConflictGraph::from_edges(2, &[(0, 1, 1)]);
-        let c = color_graph(&g, 2, ModuleChoice::LowestIndex, |v| {
+        let c = color_graph(&g, 2, |v| {
             if v == 0 {
                 ModuleSet::all(2)
             } else {
@@ -415,7 +391,7 @@ mod tests {
     fn fixed_vertices_saturating_all_modules_force_removal() {
         // Triangle; vertices 0,1 fixed in M0,M1; k=2 → vertex 2 unassignable.
         let g = ConflictGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1), (0, 2, 1)]);
-        let c = color_graph(&g, 2, ModuleChoice::LowestIndex, |v| match v {
+        let c = color_graph(&g, 2, |v| match v {
             0 => ModuleSet::singleton(ModuleId(0)),
             1 => ModuleSet::singleton(ModuleId(1)),
             _ => ModuleSet::EMPTY,
@@ -425,25 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn least_used_policy_spreads_load() {
-        // Star: center 0 adjacent to 1..=4, k=4. Center colored first (max S);
-        // leaves then avoid the center's module. LeastUsed should spread the
-        // leaves over the remaining modules.
-        let g = ConflictGraph::from_edges(5, &[(0, 1, 5), (0, 2, 5), (0, 3, 5), (0, 4, 5)]);
-        let c = color_graph(&g, 4, ModuleChoice::LeastUsed, no_fixed);
-        assert!(c.unassigned.is_empty());
-        assert!(coloring_is_valid(&g, &c));
-        let mut loads = [0; 4];
-        for &(_, m) in &c.assigned {
-            loads[m.index()] += 1;
-        }
-        assert!(loads.iter().all(|&l| l >= 1), "loads: {loads:?}");
-    }
-
-    #[test]
     fn empty_graph_colors_trivially() {
         let g = ConflictGraph::from_edges(0, &[]);
-        let c = color_graph(&g, 3, ModuleChoice::LowestIndex, no_fixed);
+        let c = color_graph(&g, 3, no_fixed);
         assert!(c.assigned.is_empty());
         assert!(c.unassigned.is_empty());
     }
@@ -467,7 +427,7 @@ mod tests {
             ],
         );
         let g = ConflictGraph::build(&t);
-        let c = color_graph(&g, 3, ModuleChoice::LowestIndex, no_fixed);
+        let c = color_graph(&g, 3, no_fixed);
         for &v in &c.unassigned {
             assert!(
                 g.degree(v) >= 3,
@@ -493,7 +453,7 @@ mod tests {
                 (2, 3, 1),
             ],
         );
-        let c = color_graph(&g, 4, ModuleChoice::LowestIndex, no_fixed);
+        let c = color_graph(&g, 4, no_fixed);
         assert!(c.order[0] == 0 || c.order[0] == 1, "order: {:?}", c.order);
     }
 }

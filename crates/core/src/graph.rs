@@ -9,11 +9,6 @@ use parmem_obs::digest::Fnv1a;
 
 use crate::types::{AccessTrace, ValueId};
 
-/// Minimum degree for a vertex to earn a dedicated [`BitAdjacency`] row:
-/// below this a CSR binary search costs at most ~6 probes and a full bitset
-/// row would be wasted memory.
-const BIT_ROW_MIN_DEGREE: usize = 64;
-
 /// Access conflict graph over the distinct values of an [`AccessTrace`],
 /// stored as an immutable compressed-sparse-row (CSR) structure.
 ///
@@ -351,49 +346,6 @@ impl ConflictGraph {
         Self::assemble(values, &edge_list)
     }
 
-    /// Build a [`BitAdjacency`] over this graph spending at most
-    /// `budget_words` u64 words on bitset rows (`0` picks a default of
-    /// `8·n + 1024` words). Rows go to the highest-degree vertices first
-    /// (ties to the lower id) while the budget lasts and degrees stay at or
-    /// above [`BIT_ROW_MIN_DEGREE`] — the selection is a pure function of
-    /// the graph and the budget, never of thread count or timing.
-    pub fn bit_adjacency(&self, budget_words: usize) -> BitAdjacency {
-        let n = self.len();
-        let words = n.div_ceil(64).max(1);
-        let budget = if budget_words == 0 {
-            8 * n + 1024
-        } else {
-            budget_words
-        };
-        let mut by_degree: Vec<u32> = (0..n as u32).collect();
-        by_degree.sort_unstable_by_key(|&v| (std::cmp::Reverse(self.degree(v)), v));
-        let mut row_of = vec![u32::MAX; n];
-        let mut rows = 0u32;
-        for &v in by_degree.iter().take(budget / words) {
-            if self.degree(v) < BIT_ROW_MIN_DEGREE {
-                break;
-            }
-            row_of[v as usize] = rows;
-            rows += 1;
-        }
-        let mut bits = vec![0u64; rows as usize * words];
-        for v in 0..n as u32 {
-            let r = row_of[v as usize];
-            if r == u32::MAX {
-                continue;
-            }
-            let row = &mut bits[r as usize * words..(r as usize + 1) * words];
-            for &w in self.neighbors(v) {
-                row[(w / 64) as usize] |= 1u64 << (w % 64);
-            }
-        }
-        BitAdjacency {
-            words,
-            row_of,
-            bits,
-        }
-    }
-
     /// Iterate all edges as `(u, v, conf)` with `u < v`, ascending by
     /// `(u, v)` (a deterministic order, unlike the former hash-map walk).
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
@@ -431,66 +383,6 @@ impl ConflictGraph {
             comps.push(comp);
         }
         comps
-    }
-}
-
-/// Bitset adjacency rows for the highest-degree vertices of a
-/// [`ConflictGraph`]: an O(1) `has_edge` exactly where the CSR binary search
-/// is at its worst, with the search as the fallback everywhere else. Built
-/// by [`ConflictGraph::bit_adjacency`]; used by the probe-shaped inner loops
-/// (clique checks in the separator decomposition, adjacency tests in the
-/// exact solver's clique bound) on graphs with heavy hubs.
-#[derive(Clone, Debug)]
-pub struct BitAdjacency {
-    /// u64 words per row (`ceil(n / 64)`).
-    words: usize,
-    /// Vertex -> row index, `u32::MAX` when the vertex has no row.
-    row_of: Vec<u32>,
-    /// Concatenated rows.
-    bits: Vec<u64>,
-}
-
-impl BitAdjacency {
-    /// Number of vertices holding a dedicated bitset row.
-    pub fn rows(&self) -> usize {
-        self.bits.len() / self.words
-    }
-
-    /// Whether `v` has a dedicated row.
-    pub fn covers(&self, v: u32) -> bool {
-        self.row_of[v as usize] != u32::MAX
-    }
-
-    #[inline]
-    fn test(&self, row: u32, v: u32) -> bool {
-        self.bits[row as usize * self.words + (v / 64) as usize] >> (v % 64) & 1 != 0
-    }
-
-    /// Adjacency test: O(1) when either endpoint has a row, CSR binary
-    /// search on `g` otherwise. `g` must be the graph this was built from.
-    #[inline]
-    pub fn has_edge(&self, g: &ConflictGraph, u: u32, v: u32) -> bool {
-        let ru = self.row_of[u as usize];
-        if ru != u32::MAX {
-            return self.test(ru, v);
-        }
-        let rv = self.row_of[v as usize];
-        if rv != u32::MAX {
-            return self.test(rv, u);
-        }
-        g.has_edge(u, v)
-    }
-
-    /// [`ConflictGraph::is_clique`] with the bitset fast path.
-    pub fn is_clique(&self, g: &ConflictGraph, set: &[u32]) -> bool {
-        for i in 0..set.len() {
-            for j in (i + 1)..set.len() {
-                if !self.has_edge(g, set[i], set[j]) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -632,37 +524,6 @@ mod tests {
             a.digest(),
             ConflictGraph::from_edges(3, &[(0, 1, 1)]).digest()
         );
-    }
-
-    #[test]
-    fn bit_adjacency_agrees_with_csr() {
-        // A star forces one high-degree hub past BIT_ROW_MIN_DEGREE.
-        let n = 200usize;
-        let mut edges: Vec<(u32, u32, u32)> = (1..n as u32).map(|v| (0, v, 1)).collect();
-        edges.push((5, 9, 1));
-        let g = ConflictGraph::from_edges(n, &edges);
-        let badj = g.bit_adjacency(0);
-        assert!(badj.covers(0), "the hub must earn a row");
-        assert_eq!(badj.rows(), 1, "leaves are below the degree floor");
-        for u in 0..n as u32 {
-            for v in 0..n as u32 {
-                if u != v {
-                    assert_eq!(badj.has_edge(&g, u, v), g.has_edge(u, v), "({u},{v})");
-                }
-            }
-        }
-        assert!(badj.is_clique(&g, &[0, 5, 9]));
-        assert!(!badj.is_clique(&g, &[0, 5, 10]));
-    }
-
-    #[test]
-    fn bit_adjacency_budget_zero_rows_still_answers() {
-        let g = ConflictGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]);
-        // Tiny budget, tiny degrees: no rows at all, pure fallback.
-        let badj = g.bit_adjacency(1);
-        assert_eq!(badj.rows(), 0);
-        assert!(badj.has_edge(&g, 0, 1));
-        assert!(!badj.has_edge(&g, 0, 2));
     }
 
     #[test]

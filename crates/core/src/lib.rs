@@ -64,7 +64,6 @@ pub mod prelude {
         assign_trace, assign_trace_into, AssignParams, Assignment, AssignmentReport,
         DuplicationStrategy,
     };
-    pub use crate::coloring::ModuleChoice;
     pub use crate::graph::ConflictGraph;
     pub use crate::instview::InstructionView;
     pub use crate::layout::{

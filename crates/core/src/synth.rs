@@ -158,8 +158,8 @@ pub const SCALE_MAX_EDGES: usize = (u32::MAX / 2) as usize;
 
 /// Parameters for the scale-workload generators ([`scale_edges`],
 /// [`scale_graph`], [`scale_trace`]): conflict graphs of 10⁴–10⁶ values with
-/// controlled structure, for exercising the CSR build, the bitset adjacency,
-/// and the per-component coloring fan-out.
+/// controlled structure, for exercising the CSR build and the per-component
+/// coloring fan-out.
 ///
 /// Bounds: an `edges` target beyond the vertex pairs inside the component
 /// blocks is clamped to that count ([`ScaleSpec::edge_target`]), and

@@ -100,7 +100,7 @@ fn random_case(k: usize, seed: u64) -> AccessTrace {
 }
 
 /// The synth request shape `parmem serve` answers: four 500-vertex
-/// components, each under the atom size limit.
+/// components, each above the atom size limit.
 fn serve_spec(k: usize) -> ScaleSpec {
     ScaleSpec {
         values: 2000,

@@ -2,10 +2,9 @@
 //!
 //! `color_graph`'s processing order, its `(vertex, module)` assignments and
 //! its `V_unassigned` list are digested over random traces at k ∈ {2,3,4,8},
-//! under both module choices, with no fixed sets, with single-copy fixed
-//! sets (including modules outside `0..k`) and with a mix of multi-copy and
-//! single-copy fixed sets; and over every component of the 10^4 seed-123
-//! scale trace. The graph pins cover `build_filtered` with a predicate and
+//! with no fixed sets, with single-copy fixed sets (including modules outside
+//! `0..k`) and with a mix of multi-copy and single-copy fixed sets; and over
+//! every component of the 10^4 seed-123 scale trace. The graph pins cover `build_filtered` with a predicate and
 //! `build` on a trace whose value ids are sparse. Any change to which vertex
 //! is processed when, or which module it gets, moves a digest.
 //!
@@ -14,7 +13,7 @@
 
 use std::cmp::Ordering;
 
-use parmem_core::coloring::{color_graph, Coloring, ModuleChoice};
+use parmem_core::coloring::{color_graph, Coloring};
 use parmem_core::graph::ConflictGraph;
 use parmem_core::synth::{random_trace, scale_trace, ScaleSpec, TraceSpec};
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId};
@@ -52,11 +51,10 @@ impl Fixed {
     }
 }
 
-const CHOICES: [ModuleChoice; 2] = [ModuleChoice::LowestIndex, ModuleChoice::LeastUsed];
 const FIXED: [Fixed; 3] = [Fixed::None, Fixed::Single, Fixed::Multi];
 
-fn color(g: &ConflictGraph, k: usize, choice: ModuleChoice, fixed: Fixed) -> Coloring {
-    color_graph(g, k, choice, |v| fixed.set(v, k))
+fn color(g: &ConflictGraph, k: usize, fixed: Fixed) -> Coloring {
+    color_graph(g, k, |v| fixed.set(v, k))
 }
 
 /// Feed one coloring's three lists, each length-prefixed.
@@ -88,33 +86,21 @@ fn random_case(k: usize, seed: u64) -> AccessTrace {
     random_trace(&spec, seed)
 }
 
-/// Expected digest per `(k, choice, fixed)` over seeds 0..50, in the order
-/// the loops below visit them.
-const RANDOM: [u64; 24] = [
+/// Expected digest per `(k, fixed)` over seeds 0..50, in the order the
+/// loops below visit them.
+const RANDOM: [u64; 12] = [
     0xe6d826eb5e5a6ee6,
     0xa8475a6d40450724,
     0xb39d9f1efde1c6c3,
-    0x668081147dc8dea7,
-    0x06092881be7eac65,
-    0xd27a0274063ce7c4,
     0x1ba4dcf056ca0de3,
     0x203699953bbadf26,
     0x360d8d64852081bb,
-    0x272cf0db4370e0c6,
-    0x2c52e454bf7289a5,
-    0x99f9e13bbaf6ca06,
     0x852a4dab2d74c641,
     0x764f3baee11f2f5b,
     0xed44b08577a1e791,
-    0x3c75ccb9dac14aa1,
-    0x552de3879fb7ab3f,
-    0x224d299131a9d0fb,
     0x8e056da6e0e4f9d8,
     0xc9ee32d51e36792a,
     0x45e44b64c2e2d40a,
-    0xc740ceb7cef5e9bf,
-    0x1cea041c2edc32ea,
-    0x373add814a861452,
 ];
 
 #[test]
@@ -124,27 +110,20 @@ fn random_graphs_color_identically() {
         let graphs: Vec<ConflictGraph> = (0..50)
             .map(|seed| ConflictGraph::build(&random_case(k, seed)))
             .collect();
-        for choice in CHOICES {
-            for fixed in FIXED {
-                let mut h = Fnv1a::new();
-                for g in &graphs {
-                    feed(&mut h, &color(g, k, choice, fixed));
-                }
-                got.push(h.finish());
+        for fixed in FIXED {
+            let mut h = Fnv1a::new();
+            for g in &graphs {
+                feed(&mut h, &color(g, k, fixed));
             }
+            got.push(h.finish());
         }
     }
     assert_eq!(got, RANDOM, "coloring moved: {got:#018x?}");
 }
 
-/// Expected digest per `(k, choice)` over every component of the 10^4
-/// seed-123 scale trace.
-const SCALE: [u64; 4] = [
-    0x4b768f62e01255e2,
-    0x5294d3566f6f016f,
-    0x15400bd12f64e6bd,
-    0x453e579d61ee4bae,
-];
+/// Expected digest per k over every component of the 10^4 seed-123 scale
+/// trace.
+const SCALE: [u64; 2] = [0x4b768f62e01255e2, 0x15400bd12f64e6bd];
 
 #[test]
 fn scale_components_color_identically() {
@@ -165,13 +144,11 @@ fn scale_components_color_identically() {
     assert_eq!(comps.len(), 8);
     let mut got = Vec::new();
     for k in [4, 8] {
-        for choice in CHOICES {
-            let mut h = Fnv1a::new();
-            for c in &comps {
-                feed(&mut h, &color(c, k, choice, Fixed::None));
-            }
-            got.push(h.finish());
+        let mut h = Fnv1a::new();
+        for c in &comps {
+            feed(&mut h, &color(c, k, Fixed::None));
         }
+        got.push(h.finish());
     }
     assert_eq!(got, SCALE, "coloring moved: {got:#018x?}");
 }
@@ -251,12 +228,7 @@ fn urgency_cmp(a: (u64, u32, u64, u32), b: (u64, u32, u64, u32)) -> Ordering {
 
 /// Fig. 4 with no heap: every step scans all uncolored vertices for the
 /// most urgent one.
-fn reference_coloring(
-    g: &ConflictGraph,
-    k: usize,
-    choice: ModuleChoice,
-    fixed: impl Fn(u32) -> ModuleSet,
-) -> Coloring {
+fn reference_coloring(g: &ConflictGraph, k: usize, fixed: impl Fn(u32) -> ModuleSet) -> Coloring {
     let n = g.len();
     let all = ModuleSet::all(k);
     let heavy = |v: u32| g.degree(v) >= k;
@@ -273,16 +245,12 @@ fn reference_coloring(
     let mut forbidden = vec![ModuleSet::EMPTY; n];
     let mut num = vec![0u64; n];
     let mut done: Vec<bool> = fixed_sets.iter().map(|f| !f.is_empty()).collect();
-    let mut load = vec![0usize; k];
     for v in 0..n as u32 {
         let fs = fixed_sets[v as usize];
         if fs.is_empty() {
             continue;
         }
         let single = fs.len() == 1;
-        if single && fs.first().unwrap().index() < k {
-            load[fs.first().unwrap().index()] += 1;
-        }
         for (j, c) in g.neighbors_with_conf(v) {
             if !fixed_sets[j as usize].is_empty() {
                 continue;
@@ -309,18 +277,10 @@ fn reference_coloring(
         };
         done[v as usize] = true;
         out.order.push(v);
-        let available = all.difference(forbidden[v as usize]);
-        let chosen = match choice {
-            ModuleChoice::LowestIndex => available.first(),
-            ModuleChoice::LeastUsed => available
-                .iter()
-                .min_by_key(|m| (load[m.index()], m.index())),
-        };
-        let Some(m) = chosen else {
+        let Some(m) = all.difference(forbidden[v as usize]).first() else {
             out.unassigned.push(v);
             continue;
         };
-        load[m.index()] += 1;
         out.assigned.push((v, m));
         for (j, c) in g.neighbors_with_conf(v) {
             if !done[j as usize] {
@@ -338,8 +298,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// The heap-driven coloring processes, colors and drops exactly what
-    /// the quadratic rescan does, for every module choice and fixed-set
-    /// shape.
+    /// the quadratic rescan does, for every fixed-set shape.
     #[test]
     fn coloring_matches_quadratic_reference(
         k in 2usize..=8,
@@ -356,14 +315,12 @@ proptest! {
             skew: 0.8,
         };
         let g = ConflictGraph::build(&random_trace(&spec, seed));
-        for choice in CHOICES {
-            for fixed in FIXED {
-                let got = color(&g, k, choice, fixed);
-                let want = reference_coloring(&g, k, choice, |v| fixed.set(v, k));
-                prop_assert_eq!(&got.order, &want.order, "{:?} {:?}", choice, fixed);
-                prop_assert_eq!(&got.assigned, &want.assigned, "{:?} {:?}", choice, fixed);
-                prop_assert_eq!(&got.unassigned, &want.unassigned, "{:?} {:?}", choice, fixed);
-            }
+        for fixed in FIXED {
+            let got = color(&g, k, fixed);
+            let want = reference_coloring(&g, k, |v| fixed.set(v, k));
+            prop_assert_eq!(&got.order, &want.order, "{:?}", fixed);
+            prop_assert_eq!(&got.assigned, &want.assigned, "{:?}", fixed);
+            prop_assert_eq!(&got.unassigned, &want.unassigned, "{:?}", fixed);
         }
     }
 }

@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 
 use parmem_core::assignment::{assign_trace, AssignParams, DuplicationStrategy};
-use parmem_core::coloring::{color_graph, coloring_is_valid, ModuleChoice};
+use parmem_core::coloring::{color_graph, coloring_is_valid};
 use parmem_core::duplication::hitting_set;
 use parmem_core::graph::ConflictGraph;
 use parmem_core::types::{AccessTrace, ModuleSet, ValueId};
@@ -117,7 +117,7 @@ fn heuristic_matches_optimum_on_tight_instances() {
         ),
     ];
     for (g, k, expected) in graphs {
-        let c = color_graph(&g, k, ModuleChoice::LowestIndex, |_| ModuleSet::EMPTY);
+        let c = color_graph(&g, k, |_| ModuleSet::EMPTY);
         assert!(coloring_is_valid(&g, &c));
         assert_eq!(optimal_removals(&g, k), expected);
         assert_eq!(c.unassigned.len(), expected);
@@ -148,7 +148,7 @@ fn heuristic_is_suboptimal_on_shared_vertex_cliques() {
             (5, 6, 1),
         ],
     );
-    let c = color_graph(&g, 3, ModuleChoice::LowestIndex, |_| ModuleSet::EMPTY);
+    let c = color_graph(&g, 3, |_| ModuleSet::EMPTY);
     assert!(coloring_is_valid(&g, &c));
     assert_eq!(
         optimal_removals(&g, 3),
@@ -196,7 +196,7 @@ fn heuristic_never_beats_optimum_on_crown_family() {
                 }
             }
             let g = ConflictGraph::from_edges(n, &edges);
-            let c = color_graph(&g, k, ModuleChoice::LowestIndex, |_| ModuleSet::EMPTY);
+            let c = color_graph(&g, k, |_| ModuleSet::EMPTY);
             assert!(coloring_is_valid(&g, &c));
             let opt = optimal_removals(&g, k);
             assert!(

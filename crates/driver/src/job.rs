@@ -661,7 +661,7 @@ impl<'a> PipelineContext<'a> {
         let g = {
             let _sp = parmem_obs::span(StageKind::ExactGap.span_name());
             let cert = parmem_exact::solve_certificate(trace, cfg);
-            let heuristic = parmem_exact::heuristic_single_copy_residual(trace, &self.spec.params);
+            let heuristic = parmem_exact::heuristic_single_copy_residual(trace);
             let check = parmem_verify::verify_certificate(trace, &cert, Some(heuristic));
             GapSummary {
                 heuristic_residual: heuristic,

@@ -144,7 +144,10 @@ impl Session {
             }
         }
         h.field(&[u8::from(self.opts.optimize), u8::from(self.opts.rename)]);
-        h.field(format!("{:?}", self.params.module_choice).as_bytes());
+        // Where the removed module-choice option was fed, the one value it
+        // ever took, so serve cache keys and the pinned session digests do
+        // not move.
+        h.field(b"LowestIndex");
         h.field(format!("{:?}", self.params.duplication).as_bytes());
         h.field(&[u8::from(self.params.use_atoms)]);
         // params.jobs intentionally skipped: output-invariant.

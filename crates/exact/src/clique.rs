@@ -21,10 +21,6 @@ use crate::instance::Instance;
 /// `> k` among `comp`'s vertices. Returns dense vertex lists (sorted).
 pub(crate) fn clique_evidence(inst: &Instance, comp: &[u32]) -> Vec<Vec<u32>> {
     let k = inst.k;
-    // Bitset rows for the high-degree hubs: clique growth probes (u, next)
-    // adjacency against exactly those vertices, where CSR binary search is
-    // slowest.
-    let badj = inst.graph.bit_adjacency(0);
     let mut order: Vec<u32> = comp.to_vec();
     order.sort_by_key(|&v| (std::cmp::Reverse(inst.graph.degree(v)), v));
 
@@ -52,7 +48,7 @@ pub(crate) fn clique_evidence(inst: &Instance, comp: &[u32]) -> Vec<Vec<u32>> {
                 .max_by_key(|&&u| (inst.graph.degree(u), std::cmp::Reverse(u)))
                 .expect("cand non-empty");
             clique.push(next);
-            cand.retain(|&u| u != next && badj.has_edge(&inst.graph, u, next));
+            cand.retain(|&u| u != next && inst.graph.has_edge(u, next));
         }
         if clique.len() <= k {
             continue;

@@ -8,21 +8,19 @@
 //! `heuristic - lower` is non-negative whenever the certificate is valid,
 //! which the property tests and PM206 both enforce.
 
-use parmem_core::assignment::{AssignParams, Assignment};
+use parmem_core::assignment::Assignment;
 use parmem_core::coloring::color_graph;
 use parmem_core::graph::ConflictGraph;
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet};
 
-use crate::certificate::Certificate;
-
 /// Residual-conflict count of the heuristic single-copy assignment.
-pub fn heuristic_single_copy_residual(trace: &AccessTrace, params: &AssignParams) -> usize {
+pub fn heuristic_single_copy_residual(trace: &AccessTrace) -> usize {
     let k = trace.modules;
     if k == 0 {
         return 0;
     }
     let g = ConflictGraph::build(trace);
-    let col = color_graph(&g, k, params.module_choice, |_| ModuleSet::EMPTY);
+    let col = color_graph(&g, k, |_| ModuleSet::EMPTY);
     let mut a = Assignment::new(k);
     for &(v, m) in &col.assigned {
         a.set_copies(g.value(v), ModuleSet::singleton(m));
@@ -43,37 +41,6 @@ pub fn heuristic_single_copy_residual(trace: &AccessTrace, params: &AssignParams
     a.residual_conflicts(trace)
 }
 
-/// One workload's heuristic-vs-exact comparison.
-#[derive(Clone, Copy, Debug)]
-pub struct GapInfo {
-    /// Residual of the heuristic single-copy assignment.
-    pub heuristic_residual: usize,
-    /// Certified lower bound on the optimal residual.
-    pub lower: usize,
-    /// Best residual the exact solver achieved.
-    pub upper: usize,
-    /// Whether `lower == upper` (the gap is closed).
-    pub optimal: bool,
-}
-
-impl GapInfo {
-    /// Gap between the heuristic and the certified lower bound; `>= 0` for
-    /// any valid certificate.
-    pub fn gap(&self) -> isize {
-        self.heuristic_residual as isize - self.lower as isize
-    }
-
-    /// Compare a heuristic run against a certificate.
-    pub fn measure(trace: &AccessTrace, params: &AssignParams, cert: &Certificate) -> GapInfo {
-        GapInfo {
-            heuristic_residual: heuristic_single_copy_residual(trace, params),
-            lower: cert.lower,
-            upper: cert.upper,
-            optimal: cert.lower == cert.upper,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,16 +48,13 @@ mod tests {
     #[test]
     fn heuristic_residual_is_zero_on_an_easy_trace() {
         let trace = AccessTrace::from_lists(2, &[&[0, 1], &[1, 2]]);
-        assert_eq!(
-            heuristic_single_copy_residual(&trace, &AssignParams::default()),
-            0
-        );
+        assert_eq!(heuristic_single_copy_residual(&trace), 0);
     }
 
     #[test]
     fn heuristic_residual_sees_the_forced_conflict() {
         // K3 on 2 modules: any single-copy assignment conflicts once.
         let trace = AccessTrace::from_lists(2, &[&[0, 1, 2]]);
-        assert!(heuristic_single_copy_residual(&trace, &AssignParams::default()) >= 1);
+        assert!(heuristic_single_copy_residual(&trace) >= 1);
     }
 }

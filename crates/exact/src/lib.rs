@@ -32,7 +32,7 @@ mod instance;
 mod portfolio;
 
 pub use certificate::{CertStatus, Certificate};
-pub use gap::{heuristic_single_copy_residual, GapInfo};
+pub use gap::heuristic_single_copy_residual;
 
 use parmem_core::assignment::{AssignParams, Assignment};
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet, OperandSet};

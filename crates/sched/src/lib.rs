@@ -13,7 +13,7 @@ pub mod program;
 pub mod schedule;
 
 pub use program::{LongWord, MachineSpec, SOperand, SchedBlock, SchedProgram, SchedTerm, SlotOp};
-pub use schedule::{schedule, schedule_with, ScheduleOptions, SchedulePriority};
+pub use schedule::{schedule, schedule_with, ScheduleOptions};
 
 /// Compile MiniLang source and schedule it in one call.
 pub fn compile_and_schedule(

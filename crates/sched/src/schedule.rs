@@ -31,17 +31,6 @@ use crate::program::{
     LongWord, MachineSpec, SOperand, SchedBlock, SchedProgram, SchedTerm, SlotOp,
 };
 
-/// Ready-list priority used when several operations compete for a word.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedulePriority {
-    /// Longest latency-weighted path to a sink first (standard list
-    /// scheduling; default).
-    #[default]
-    CriticalPath,
-    /// Plain program order — the naive baseline for the ablation benches.
-    ProgramOrder,
-}
-
 /// Scheduling options beyond the machine shape.
 #[derive(Clone, Copy, Debug)]
 pub struct ScheduleOptions {
@@ -49,16 +38,11 @@ pub struct ScheduleOptions {
     /// the paper's model; `false` keeps one data value per variable — the
     /// ablation for the paper's §3 renaming remark.
     pub rename: bool,
-    /// Ready-list priority.
-    pub priority: SchedulePriority,
 }
 
 impl Default for ScheduleOptions {
     fn default() -> Self {
-        ScheduleOptions {
-            rename: true,
-            priority: SchedulePriority::CriticalPath,
-        }
+        ScheduleOptions { rename: true }
     }
 }
 
@@ -84,7 +68,7 @@ pub fn schedule_with(p: &TacProgram, spec: MachineSpec, opts: ScheduleOptions) -
         .blocks
         .iter()
         .enumerate()
-        .map(|(bi, _)| schedule_block(p, &webs, BlockId(bi as u32), spec, opts.priority))
+        .map(|(bi, _)| schedule_block(p, &webs, BlockId(bi as u32), spec))
         .collect();
 
     SchedProgram {
@@ -158,13 +142,7 @@ fn to_slot_op(webs: &Webs, block: BlockId, idx: u32, inst: &Instr) -> SlotOp {
     }
 }
 
-fn schedule_block(
-    p: &TacProgram,
-    webs: &Webs,
-    block: BlockId,
-    spec: MachineSpec,
-    priority: SchedulePriority,
-) -> SchedBlock {
+fn schedule_block(p: &TacProgram, webs: &Webs, block: BlockId, spec: MachineSpec) -> SchedBlock {
     let b = p.block(block);
     let n = b.instrs.len();
     let ops: Vec<SlotOp> = b
@@ -270,12 +248,7 @@ fn schedule_block(
             .copied()
             .filter(|&i| earliest[i] <= cycle)
             .collect();
-        match priority {
-            SchedulePriority::CriticalPath => {
-                candidates.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i))
-            }
-            SchedulePriority::ProgramOrder => candidates.sort_unstable(),
-        }
+        candidates.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
 
         let mut word = LongWord::default();
         let mut word_webs: Vec<u32> = Vec::new();
@@ -605,22 +578,8 @@ mod tests {
             end.";
         let tac = compile(src).unwrap();
         let spec = MachineSpec::with_modules(8);
-        let renamed = schedule_with(
-            &tac,
-            spec,
-            ScheduleOptions {
-                rename: true,
-                ..Default::default()
-            },
-        );
-        let flat = schedule_with(
-            &tac,
-            spec,
-            ScheduleOptions {
-                rename: false,
-                ..Default::default()
-            },
-        );
+        let renamed = schedule_with(&tac, spec, ScheduleOptions { rename: true });
+        let flat = schedule_with(&tac, spec, ScheduleOptions { rename: false });
         assert!(
             renamed.word_count() < flat.word_count(),
             "renamed {} vs flat {}",
@@ -632,10 +591,10 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_priority_beats_program_order() {
-        // A long chain plus independent fillers: critical-path priority
-        // starts the chain immediately; program order can waste early slots
-        // on fillers. Both schedules must be valid, and CP never longer.
+    fn critical_path_schedule_is_valid_on_a_narrow_machine() {
+        // A long chain plus independent fillers competing for two units:
+        // critical-path priority starts the chain immediately, and the
+        // schedule must stay valid.
         let src = "program t; var a, b, c, d, e, f, g, h, x: int;
             begin
               e := a + 1; f := b + 1; g := c + 1; h := d + 1;
@@ -650,30 +609,8 @@ mod tests {
             mem_ports: 8,
             modules: 8,
         };
-        let cp = schedule_with(
-            &tac,
-            spec,
-            ScheduleOptions {
-                rename: true,
-                priority: SchedulePriority::CriticalPath,
-            },
-        );
-        let po = schedule_with(
-            &tac,
-            spec,
-            ScheduleOptions {
-                rename: true,
-                priority: SchedulePriority::ProgramOrder,
-            },
-        );
+        let cp = schedule_with(&tac, spec, ScheduleOptions { rename: true });
         assert_valid(&cp);
-        assert_valid(&po);
-        assert!(
-            cp.word_count() <= po.word_count(),
-            "critical path {} vs program order {}",
-            cp.word_count(),
-            po.word_count()
-        );
     }
 
     #[test]
@@ -740,10 +677,7 @@ mod tests {
         let sp = schedule_with(
             &tac,
             MachineSpec::with_modules(4),
-            ScheduleOptions {
-                rename: false,
-                ..Default::default()
-            },
+            ScheduleOptions { rename: false },
         );
         assert_eq!(sp.n_values, tac.vars.len());
     }

@@ -584,24 +584,19 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
 fn compute_compile(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, (u16, String)> {
     let src = source_text(api)?;
     let session = api.session();
-    // Seed the job with the cached frontend TAC; parse errors fall through
-    // to the uncached job runner so the 422 carries the structured report.
-    let spec = match inter.frontend(&session, src) {
-        Ok(tac) => session
-            .job(api.program.clone(), src.to_string())
-            .with_frontend_tac(tac),
-        Err(_) => session.job(api.program.clone(), src.to_string()),
-    };
+    let tac = inter
+        .frontend(&session, src)
+        .map_err(|e| (422, e.to_string()))?;
+    let spec = session
+        .job(api.program.clone(), src.to_string())
+        .with_frontend_tac(tac);
     let result = parmem_driver::run_job(&spec);
-    let body = format!(
-        "{{\"schema\":\"parmem-serve-compile/v1\",\"job\":{}}}",
-        parmem_batch::report::job_json(&result, false)
-    );
     match &result.outcome {
-        Ok(_) => Ok(body),
-        // The job JSON already names the stage and error; serve it as the
-        // 422 body so clients get the full structured report.
-        Err(_) => Err((422, format!("pipeline failed: {}", result.status()))),
+        Ok(_) => Ok(format!(
+            "{{\"schema\":\"parmem-serve-compile/v1\",\"job\":{}}}",
+            parmem_batch::report::job_json(&result, false)
+        )),
+        Err(e) => Err((422, e.to_string())),
     }
 }
 
@@ -611,7 +606,7 @@ fn compute_exact(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, 
     let prog = compile_via_cache(&session, inter, src)?;
     let trace = prog.sched.access_trace();
     let certificate = parmem_exact::solve_certificate(&trace, &api.exact);
-    let heuristic = parmem_exact::heuristic_single_copy_residual(&trace, &session.params);
+    let heuristic = parmem_exact::heuristic_single_copy_residual(&trace);
     let check = parmem_verify::verify_certificate(&trace, &certificate, Some(heuristic));
     Ok(format!(
         "{{\"schema\":\"parmem-serve-exact/v1\",\"program\":\"{}\",\"k\":{},\

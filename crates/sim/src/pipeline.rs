@@ -110,7 +110,6 @@ pub fn schedule_stage(tac: &TacProgram, spec: MachineSpec, opts: &CompileOptions
         spec,
         liw_sched::ScheduleOptions {
             rename: opts.rename,
-            priority: liw_sched::SchedulePriority::CriticalPath,
         },
     )
 }

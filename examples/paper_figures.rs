@@ -5,7 +5,7 @@
 //! cargo run --example paper_figures
 //! ```
 
-use parallel_memories::core::coloring::{color_graph, ModuleChoice};
+use parallel_memories::core::coloring::color_graph;
 use parallel_memories::core::prelude::*;
 
 fn print_assignment(trace: &AccessTrace, a: &Assignment) {
@@ -62,9 +62,7 @@ fn main() {
     // ---------- Fig. 5 ----------
     println!("== Fig. 5: the coloring heuristic walkthrough ==");
     let g = ConflictGraph::build(&fig3);
-    let c = color_graph(&g, 3, ModuleChoice::LowestIndex, |_| {
-        parallel_memories::core::types::ModuleSet::EMPTY
-    });
+    let c = color_graph(&g, 3, |_| parallel_memories::core::types::ModuleSet::EMPTY);
     let order: Vec<String> = c.order.iter().map(|&v| g.value(v).to_string()).collect();
     println!("processing order: {}", order.join(" -> "));
     for &(v, m) in &c.assigned {

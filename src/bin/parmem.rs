@@ -554,8 +554,7 @@ fn cmd_verify_exact(a: &CommonArgs) -> Result<(), CliError> {
     let trace = prog.sched.access_trace();
     let cfg = args::exact_config(a)?;
     let cert = parallel_memories::exact::solve_certificate(&trace, &cfg);
-    let heuristic =
-        parallel_memories::exact::heuristic_single_copy_residual(&trace, &AssignParams::default());
+    let heuristic = parallel_memories::exact::heuristic_single_copy_residual(&trace);
     let report = verify::verify_certificate(&trace, &cert, Some(heuristic));
     if a.flag("--json") {
         println!(
@@ -601,7 +600,6 @@ fn cmd_exact(a: &CommonArgs) -> Result<(), CliError> {
                 k,
                 cfg,
                 opts,
-                params: AssignParams::default(),
             });
         }
     }

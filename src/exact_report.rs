@@ -10,7 +10,6 @@
 
 use std::fmt::Write as _;
 
-use parmem_core::assignment::AssignParams;
 use parmem_driver::Session;
 use parmem_exact::{heuristic_single_copy_residual, solve_certificate, Certificate, ExactConfig};
 use parmem_obs::json;
@@ -29,8 +28,6 @@ pub struct ExactJobSpec {
     pub cfg: ExactConfig,
     /// Front-end options (unroll / optimize), matching `parmem batch`.
     pub opts: CompileOptions,
-    /// Assignment parameters used for the heuristic comparator.
-    pub params: AssignParams,
 }
 
 /// What one exact job produced: the certificate, the heuristic residual it
@@ -75,7 +72,7 @@ pub fn run_exact_job(spec: &ExactJobSpec) -> ExactJobResult {
         let prog = session.compile(&spec.source).map_err(|e| e.to_string())?;
         let trace = prog.sched.access_trace();
         let certificate = solve_certificate(&trace, &spec.cfg);
-        let heuristic_residual = heuristic_single_copy_residual(&trace, &spec.params);
+        let heuristic_residual = heuristic_single_copy_residual(&trace);
         let check =
             parmem_verify::verify_certificate(&trace, &certificate, Some(heuristic_residual));
         Ok(ExactMeasurement {
@@ -188,7 +185,6 @@ mod tests {
             k,
             cfg: ExactConfig::default(),
             opts: CompileOptions::default(),
-            params: AssignParams::default(),
         }
     }
 

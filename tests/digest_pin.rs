@@ -43,6 +43,54 @@ fn conflict_graph_digests() {
     assert_eq!(g.digest(), 0x6549_36dd_a3ae_5340);
 }
 
+/// The scheduled-trace graphs of three paper programs at k ∈ {2, 4}, built
+/// without the optimizer, and two scale graphs with 96-cliques that hold
+/// vertices of degree ≥ 64: `(vertices, edges, digest)` per row.
+#[test]
+fn corpus_and_scale_graph_digests() {
+    let corpus = [
+        ("FFT", 2, 74, 44, 0x2197_9da0_e56c_90bd),
+        ("FFT", 4, 74, 73, 0xc00d_5148_5a6c_9d26),
+        ("LIVERMORE", 2, 36, 13, 0x1e0a_fedb_961c_7913),
+        ("LIVERMORE", 4, 36, 18, 0x3591_0447_dc51_1dd8),
+        ("SYNTH", 2, 26, 18, 0xf14e_d497_cdba_f610),
+        ("SYNTH", 4, 26, 50, 0x8d0a_e89d_e975_77b0),
+    ];
+    for (name, k, n, edges, digest) in corpus {
+        let bench = parallel_memories::workloads::by_name(name).expect("workload");
+        let prog = Session::new(k)
+            .without_optimizer()
+            .compile(bench.source)
+            .expect("workload compiles");
+        let g = ConflictGraph::build(&prog.sched.access_trace());
+        assert_eq!(
+            (g.len(), g.edge_count(), g.digest()),
+            (n, edges, digest),
+            "{name} k={k}"
+        );
+    }
+
+    for (n, digest) in [
+        (10_000, 0xd1e4_c50b_eddf_9e30u64),
+        (100_000, 0xa5e0_6ce6_6230_396e),
+    ] {
+        let spec = ScaleSpec {
+            values: n,
+            edges: 4 * n,
+            cliques: n / 2500,
+            clique_size: 96,
+            components: 8,
+            modules: 8,
+        };
+        let g = ConflictGraph::build(&scale_trace(&spec, 0x5CA1E));
+        assert_eq!(
+            (g.len(), g.edge_count(), g.digest()),
+            (n, 4 * n, digest),
+            "n={n}"
+        );
+    }
+}
+
 #[test]
 fn layout_workload_and_seed_digests() {
     for (policy, want) in [

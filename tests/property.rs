@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use parallel_memories::core::atoms;
-use parallel_memories::core::coloring::{color_graph, coloring_is_valid, ModuleChoice};
+use parallel_memories::core::coloring::{color_graph, coloring_is_valid};
 use parallel_memories::core::duplication::hitting_set;
 use parallel_memories::core::graph::ConflictGraph;
 use parallel_memories::core::matching;
@@ -70,7 +70,7 @@ proptest! {
     #[test]
     fn coloring_is_valid_on_random_graphs(trace in arb_trace()) {
         let g = ConflictGraph::build(&trace);
-        let c = color_graph(&g, trace.modules, ModuleChoice::LowestIndex, |_| ModuleSet::EMPTY);
+        let c = color_graph(&g, trace.modules, |_| ModuleSet::EMPTY);
         prop_assert!(coloring_is_valid(&g, &c));
         prop_assert_eq!(c.assigned.len() + c.unassigned.len(), g.len());
     }
@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn low_degree_nodes_always_colored(trace in arb_trace()) {
         let g = ConflictGraph::build(&trace);
-        let c = color_graph(&g, trace.modules, ModuleChoice::LowestIndex, |_| ModuleSet::EMPTY);
+        let c = color_graph(&g, trace.modules, |_| ModuleSet::EMPTY);
         for &v in &c.unassigned {
             prop_assert!(g.degree(v) >= trace.modules);
         }
@@ -96,7 +96,7 @@ proptest! {
         };
         let cfg = ExactConfig { budget_nodes: 20_000, ..Default::default() };
         let cert = solve_certificate(&trace, &cfg);
-        let h = heuristic_single_copy_residual(&trace, &AssignParams::default());
+        let h = heuristic_single_copy_residual(&trace);
         let report = parallel_memories::verify::verify_certificate(&trace, &cert, Some(h));
         prop_assert!(report.is_clean(), "{}", report);
         prop_assert!(cert.lower <= cert.upper);

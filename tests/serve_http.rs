@@ -430,15 +430,15 @@ fn deeply_nested_minilang_is_a_422_and_the_daemon_keeps_serving() {
         ),
     ] {
         let request = program(body);
-        let (s, _, b) = post(port, "/v1/compile", &request);
-        assert_eq!(s, 422, "{shape}: {b}");
-        // The lint endpoint passes the parse error through, with its line.
-        let (s, _, b) = post(port, "/v1/lint", &request);
-        assert_eq!(s, 422, "{shape}: {b}");
-        assert!(
-            b.contains("parse error at 3:") && b.contains("nesting deeper than 256 levels"),
-            "{shape}: {b}"
-        );
+        // Both endpoints pass the parse error through, with its line.
+        for endpoint in ["/v1/compile", "/v1/lint"] {
+            let (s, _, b) = post(port, endpoint, &request);
+            assert_eq!(s, 422, "{endpoint} {shape}: {b}");
+            assert!(
+                b.contains("parse error at 3:") && b.contains("nesting deeper than 256 levels"),
+                "{endpoint} {shape}: {b}"
+            );
+        }
         // The daemon is still up and answers the next request.
         let (s, _, b) = post(port, "/v1/compile", &program("x := -(1 + 2);".into()));
         assert_eq!(s, 200, "after {shape}: {b}");
