@@ -312,7 +312,7 @@ pub fn assign_trace_into(
     // (cannot happen for well-formed traces, but keeps the conflict-free
     // invariant machine-checked). Only instructions with ≤ k operands can be
     // repaired at all.
-    let repair_copies = repair(trace, &unassigned_mask, assignment);
+    let (repair_copies, left) = repair(trace, &unassigned_mask, assignment);
 
     parmem_obs::counter_add("assign.atoms", n_atoms as u64);
     parmem_obs::counter_add("assign.uncolorable", uncolored as u64);
@@ -326,7 +326,12 @@ pub fn assign_trace_into(
         extra_copies: assignment.extra_copies(),
         uncolored,
         atoms: n_atoms,
-        residual_conflicts: assignment.residual_conflicts(trace),
+        // Every instruction outside `left` was conflict-free during the
+        // sweep and stayed so, because adding a copy never breaks a matching.
+        residual_conflicts: left
+            .iter()
+            .filter(|inst| !assignment.instruction_conflict_free(inst))
+            .count(),
         repair_copies,
     };
     #[cfg(debug_assertions)]
@@ -601,12 +606,24 @@ fn merged_coloring_valid(
 
 /// Greedy last-resort fix: for each conflicting instruction with ≤ k
 /// operands, add copies of its duplicable operands until a matching exists.
-/// Returns the number of copies added (0 in normal operation).
-fn repair(trace: &AccessTrace, dup_ok: &ValueMask, assignment: &mut Assignment) -> usize {
+/// Returns the number of copies added (0 in normal operation) and the
+/// instructions the sweep left conflicting. Copies are only ever added, and
+/// adding a copy never breaks a matching, so every other instruction is
+/// conflict-free when the sweep ends.
+fn repair<'t>(
+    trace: &'t AccessTrace,
+    dup_ok: &ValueMask,
+    assignment: &mut Assignment,
+) -> (usize, Vec<&'t OperandSet>) {
     let k = trace.modules;
     let mut added = 0;
+    let mut left = Vec::new();
     for inst in &trace.instructions {
-        if inst.len() > k || assignment.instruction_conflict_free(inst) {
+        if inst.len() > k {
+            left.push(inst);
+            continue;
+        }
+        if assignment.instruction_conflict_free(inst) {
             continue;
         }
         // Ensure every operand has at least one copy (unplaced values can
@@ -650,8 +667,11 @@ fn repair(trace: &AccessTrace, dup_ok: &ValueMask, assignment: &mut Assignment) 
             assignment.add_copy(v, m);
             added += 1;
         }
+        if !assignment.instruction_conflict_free(inst) {
+            left.push(inst);
+        }
     }
-    added
+    (added, left)
 }
 
 #[cfg(test)]
