@@ -69,6 +69,14 @@ impl ValueMask {
     pub fn contains(&self, v: ValueId) -> bool {
         self.0.get(v.index()).copied().unwrap_or(false)
     }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = ValueId> + '_ {
+        self.0
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &member)| member.then_some(ValueId(i as u32)))
+    }
 }
 
 /// One of the `k` parallel memory modules, `M_1 .. M_k` in the paper.
@@ -310,12 +318,15 @@ impl AccessTrace {
         )
     }
 
-    /// All distinct values used anywhere in the trace, ascending.
+    /// All distinct values used anywhere in the trace, ascending. Value ids
+    /// are dense by contract, so this marks a flag per id instead of
+    /// sorting every occurrence.
     pub fn distinct_values(&self) -> Vec<ValueId> {
-        let mut vs: Vec<ValueId> = self.instructions.iter().flat_map(|i| i.iter()).collect();
-        vs.sort_unstable();
-        vs.dedup();
-        vs
+        let mut seen = ValueMask::default();
+        for v in self.instructions.iter().flat_map(|i| i.iter()) {
+            seen.insert(v);
+        }
+        seen.iter().collect()
     }
 
     /// Largest value index used, plus one (size for dense tables).
