@@ -8,8 +8,10 @@
 //! `build` on a trace whose value ids are sparse. Any change to which vertex
 //! is processed when, or which module it gets, moves a digest.
 //!
-//! A property test also checks `color_graph` against an O(n²) reference
-//! that rescans every uncolored vertex for the maximum urgency at each step.
+//! Property tests also check `color_graph` against an O(n²) reference
+//! that rescans every uncolored vertex for the maximum urgency at each step,
+//! on sparse traces at k ≤ 8 and on dense graphs at k ≤ 64 with full-width
+//! `conf` weights, and check `distinct_values` against a sort and dedup.
 
 use std::cmp::Ordering;
 
@@ -19,6 +21,8 @@ use parmem_core::synth::{random_trace, scale_trace, ScaleSpec, TraceSpec};
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId};
 use parmem_obs::digest::Fnv1a;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 /// Which vertices arrive with pre-existing copies.
 #[derive(Clone, Copy, Debug)]
@@ -177,20 +181,24 @@ fn filtered_build_is_pinned() {
     );
 }
 
+/// `dense` with every value id `v` renamed to `37·v + 5`.
+fn sparse(dense: &AccessTrace) -> AccessTrace {
+    AccessTrace::new(
+        dense.modules,
+        dense
+            .instructions
+            .iter()
+            .map(|i| OperandSet::new(i.iter().map(|v| ValueId(v.0 * 37 + 5)).collect()))
+            .collect(),
+    )
+}
+
 #[test]
 fn sparse_id_build_is_pinned() {
     let mut got = Vec::new();
     for seed in 0..4 {
         let dense = random_case(8, seed);
-        let sparse = AccessTrace::new(
-            dense.modules,
-            dense
-                .instructions
-                .iter()
-                .map(|i| OperandSet::new(i.iter().map(|v| ValueId(v.0 * 37 + 5)).collect()))
-                .collect(),
-        );
-        let g = ConflictGraph::build(&sparse);
+        let g = ConflictGraph::build(&sparse(&dense));
         let d = ConflictGraph::build(&dense);
         assert_eq!(g.len(), d.len());
         assert_eq!(g.edge_count(), d.edge_count());
@@ -294,6 +302,28 @@ fn reference_coloring(g: &ConflictGraph, k: usize, fixed: impl Fn(u32) -> Module
     out
 }
 
+/// A random graph on `n` vertices: each pair is an edge with probability
+/// `density`. Half the edges weigh 1..=3, so equal and nearly equal
+/// urgencies occur; the rest weigh up to `conf_max`, so with
+/// `conf_max = u32::MAX` urgency numerators pass 2^32.
+fn dense_graph(n: usize, density: f64, conf_max: u32, seed: u64) -> ConflictGraph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for a in 0..n as u32 {
+        for b in a + 1..n as u32 {
+            if rng.gen_bool(density) {
+                let conf = if rng.gen_bool(0.5) {
+                    rng.gen_range(1..=3)
+                } else {
+                    rng.gen_range(1..=conf_max)
+                };
+                edges.push((a, b, conf));
+            }
+        }
+    }
+    ConflictGraph::from_edges(n, &edges)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -321,6 +351,54 @@ proptest! {
             prop_assert_eq!(&got.order, &want.order, "{:?}", fixed);
             prop_assert_eq!(&got.assigned, &want.assigned, "{:?}", fixed);
             prop_assert_eq!(&got.unassigned, &want.unassigned, "{:?}", fixed);
+        }
+    }
+
+    /// The same, on dense graphs at every module count up to 64, where
+    /// vertices reach degree ≥ k and urgencies `a/K`, `b/L` with `K ≠ L`
+    /// differ by as little as 1/4032, with full-width `conf` weights.
+    #[test]
+    fn coloring_matches_reference_up_to_64_modules(
+        k in 1usize..=64,
+        n in 70usize..=100,
+        density in 90u32..=100,
+        wide in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let conf_max = [3, 1 << 16, u32::MAX][wide];
+        let g = dense_graph(n, f64::from(density) / 100.0, conf_max, seed);
+        for fixed in FIXED {
+            let got = color(&g, k, fixed);
+            let want = reference_coloring(&g, k, |v| fixed.set(v, k));
+            prop_assert_eq!(&got.order, &want.order, "{:?}", fixed);
+            prop_assert_eq!(&got.assigned, &want.assigned, "{:?}", fixed);
+            prop_assert_eq!(&got.unassigned, &want.unassigned, "{:?}", fixed);
+        }
+    }
+
+    /// `distinct_values` marks ids instead of sorting every occurrence; it
+    /// equals a sort and dedup of the occurrences, on dense and sparse ids.
+    #[test]
+    fn distinct_values_match_sort_dedup(
+        k in 2usize..=8,
+        values in 1usize..=200,
+        instructions in 0usize..=120,
+        seed in 0u64..1_000_000,
+    ) {
+        let spec = TraceSpec {
+            values,
+            instructions,
+            modules: k,
+            min_ops: 1,
+            max_ops: k,
+            skew: 0.8,
+        };
+        let dense = random_trace(&spec, seed);
+        for t in [&dense, &sparse(&dense)] {
+            let mut want: Vec<ValueId> = t.instructions.iter().flat_map(|i| i.iter()).collect();
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(t.distinct_values(), want);
         }
     }
 }

@@ -6,11 +6,14 @@
 //! scanning every instruction's operand pairs. The CSR graph must agree on
 //! the vertex set, adjacency, degrees, conf weights, and edge iteration for
 //! random traces — including filtered builds and `from_edges` inputs with
-//! duplicate and reversed mentions.
+//! duplicate and reversed mentions — and `induced` subgraphs must equal
+//! `from_edges` over the edges they keep.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use rand::prelude::*;
+use rand_chacha::ChaCha8Rng;
 
 use parmem_core::graph::ConflictGraph;
 use parmem_core::types::{AccessTrace, OperandSet, ValueId};
@@ -186,6 +189,54 @@ proptest! {
             for v in (u + 1)..n as u32 {
                 let expected = reference.get(&(u, v)).copied().unwrap_or(0);
                 prop_assert_eq!(g.conf(u, v), expected, "conf({},{})", u, v);
+            }
+        }
+    }
+
+    /// `induced` on a random subset, given ascending and shuffled, equals
+    /// `from_edges` over the parent's edges with both ends in the subset,
+    /// renumbered by position in the subset: row for row, neighbors and
+    /// `conf`, and each vertex keeps its parent's value. Subsets range from
+    /// a few vertices of a large graph (the hash-map lookup) to most of it.
+    #[test]
+    fn induced_matches_from_edges_over_kept_edges(
+        n in 1usize..=200,
+        density in 1u32..=30,
+        keep in 1u32..=100,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut edges = Vec::new();
+        for a in 0..n as u32 {
+            for b in a + 1..n as u32 {
+                if rng.gen_bool(f64::from(density) / 100.0) {
+                    edges.push((a, b, rng.gen_range(1..=u32::MAX)));
+                }
+            }
+        }
+        let g = ConflictGraph::from_edges(n, &edges);
+        let ascending: Vec<u32> = (0..n as u32)
+            .filter(|_| rng.gen_bool(f64::from(keep) / 100.0))
+            .collect();
+        let mut shuffled = ascending.clone();
+        shuffled.shuffle(&mut rng);
+        for vertices in [ascending, shuffled] {
+            let sub = g.induced(&vertices);
+            let local = |v: u32| vertices.iter().position(|&x| x == v).map(|i| i as u32);
+            let kept: Vec<(u32, u32, u32)> = g
+                .edges()
+                .filter_map(|(u, v, c)| Some((local(u)?, local(v)?, c)))
+                .collect();
+            let want = ConflictGraph::from_edges(vertices.len(), &kept);
+            prop_assert_eq!(sub.len(), vertices.len());
+            prop_assert_eq!(sub.edge_count(), want.edge_count());
+            for (i, &v) in vertices.iter().enumerate() {
+                let i = i as u32;
+                prop_assert_eq!(sub.value(i), g.value(v));
+                prop_assert_eq!(sub.vertex_of(g.value(v)), Some(i));
+                let got: Vec<(u32, u32)> = sub.neighbors_with_conf(i).collect();
+                let expected: Vec<(u32, u32)> = want.neighbors_with_conf(i).collect();
+                prop_assert_eq!(got, expected, "row {}", i);
             }
         }
     }
