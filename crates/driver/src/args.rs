@@ -10,11 +10,12 @@
 //!
 //! The module also hosts the option → pipeline-config builders
 //! ([`compile_options`], [`assign_params`], [`strategy`], [`k_list`],
-//! [`exact_config`], [`resolve_program`]) that were previously duplicated
-//! across subcommands.
+//! [`module_count`], [`exact_config`], [`resolve_program`]) that were
+//! previously duplicated across subcommands.
 
 use parmem_core::assignment::{AssignParams, DuplicationStrategy};
 use parmem_core::strategies::Strategy;
+use parmem_core::types::MAX_MODULES;
 use rliw_sim::pipeline::CompileOptions;
 
 /// Boolean flags every subcommand accepts (profiling plumbing).
@@ -136,16 +137,23 @@ impl CommonArgs {
     }
 }
 
+/// Largest `--unroll` factor, the bound `parmem serve` also enforces.
+const MAX_UNROLL: usize = 64;
+
 /// Front-end options from the uniform `--unroll <factor>` / `--no-opt`
 /// flags.
 pub fn compile_options(a: &CommonArgs) -> Result<CompileOptions, String> {
+    let unroll = a.parsed::<usize>("--unroll")?;
+    if let Some(factor) = unroll.filter(|&f| f > MAX_UNROLL) {
+        return Err(format!(
+            "--unroll {factor} is above the cap of {MAX_UNROLL}"
+        ));
+    }
     Ok(CompileOptions {
-        unroll: a
-            .parsed::<usize>("--unroll")?
-            .map(|factor| liw_ir::unroll::UnrollConfig {
-                factor,
-                max_body_stmts: 16,
-            }),
+        unroll: unroll.map(|factor| liw_ir::unroll::UnrollConfig {
+            factor,
+            max_body_stmts: 16,
+        }),
         optimize: !a.flag("--no-opt"),
         rename: true,
     })
@@ -188,14 +196,35 @@ pub fn strategy(a: &CommonArgs) -> Result<Strategy, String> {
 }
 
 /// Parse the `-k` module-count list (`2,4,8` style); `default` when absent.
+/// Every entry must lie in `1..=MAX_MODULES`.
 pub fn k_list(a: &CommonArgs, default: &[usize]) -> Result<Vec<usize>, String> {
-    match a.value("-k") {
-        None => Ok(default.to_vec()),
+    let ks: Vec<usize> = match a.value("-k") {
+        None => default.to_vec(),
         Some(list) => list
             .split(',')
             .map(|p| p.trim().parse::<usize>())
             .collect::<Result<_, _>>()
-            .map_err(|_| format!("bad -k list `{list}` (expected e.g. 2,4)")),
+            .map_err(|_| format!("bad -k list `{list}` (expected e.g. 2,4)"))?,
+    };
+    for &k in &ks {
+        check_module_count(k)?;
+    }
+    Ok(ks)
+}
+
+/// Parse a single `-k` module count; `default` when absent. It must lie in
+/// `1..=MAX_MODULES`.
+pub fn module_count(a: &CommonArgs, default: usize) -> Result<usize, String> {
+    let k = a.parsed::<usize>("-k")?.unwrap_or(default);
+    check_module_count(k)?;
+    Ok(k)
+}
+
+fn check_module_count(k: usize) -> Result<(), String> {
+    if (1..=MAX_MODULES).contains(&k) {
+        Ok(())
+    } else {
+        Err(format!("k = {k} is outside 1..={MAX_MODULES}"))
     }
 }
 

@@ -466,7 +466,7 @@ fn cmd_assign(a: &CommonArgs) -> Result<(), CliError> {
 fn cmd_compile(a: &CommonArgs) -> Result<(), CliError> {
     let path = a.file_arg()?;
     let src = std::fs::read_to_string(&path)?;
-    let k = a.parsed::<usize>("-k")?.unwrap_or(8);
+    let k = args::module_count(a, 8)?;
     let session = Session::new(k)
         .with_strategy(args::strategy(a)?)
         .with_opts(args::compile_options(a)?);
@@ -516,7 +516,7 @@ fn cmd_verify(a: &CommonArgs) -> Result<(), CliError> {
         // MiniLang source: run the whole pipeline and check all invariants.
         // `without_optimizer` matches the historical plain-compile behavior
         // of this subcommand (the checker re-derives, it does not optimize).
-        let k = a.parsed::<usize>("-k")?.unwrap_or(8);
+        let k = args::module_count(a, 8)?;
         let session = Session::new(k)
             .with_strategy(args::strategy(a)?)
             .with_params(params)
@@ -548,7 +548,7 @@ fn cmd_verify(a: &CommonArgs) -> Result<(), CliError> {
 fn cmd_verify_exact(a: &CommonArgs) -> Result<(), CliError> {
     let target = a.target_arg()?;
     let (program, source) = args::resolve_program(&target)?;
-    let k = a.parsed::<usize>("-k")?.unwrap_or(4);
+    let k = args::module_count(a, 4)?;
     let session = Session::new(k).without_optimizer();
     let prog = session.compile(&source)?;
     let trace = prog.sched.access_trace();
@@ -829,7 +829,7 @@ fn cmd_run(a: &CommonArgs) -> Result<(), CliError> {
 fn cmd_trace(a: &CommonArgs) -> Result<(), CliError> {
     let target = a.target_arg()?;
     let (program, source) = args::resolve_program(&target)?;
-    let k = a.parsed::<usize>("-k")?.unwrap_or(8);
+    let k = args::module_count(a, 8)?;
     let mut session = Session::new(k)
         .with_strategy(args::strategy(a)?)
         .with_opts(args::compile_options(a)?)

@@ -248,3 +248,31 @@ fn synth_bounds_oversized_specs() {
         assert!(!stderr.contains("panicked"), "synth {args:?}: {stderr}");
     }
 }
+
+/// Module counts outside 1..=64 and unroll factors above 64 are refused
+/// with exit 1 and a message before any job runs: never a panic inside a
+/// job, a run on a 0-module machine, or an unbounded unroll.
+#[test]
+fn out_of_range_module_counts_and_unroll_exit_1() {
+    for cmd in ["batch", "trace", "lint", "exact"] {
+        for (args, message) in [
+            (&["-k", "0"][..], "k = 0 is outside 1..=64"),
+            (&["-k", "65"][..], "k = 65 is outside 1..=64"),
+            (
+                &["-k", "2", "--unroll", "65"][..],
+                "--unroll 65 is above the cap of 64",
+            ),
+        ] {
+            let out = parmem(&[&[cmd, "FFT"][..], args].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd} {args:?}: {stderr}");
+            assert!(stderr.contains(message), "{cmd} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd} {args:?}: {stderr}");
+        }
+    }
+    // A bad entry anywhere in a list refuses the whole list.
+    let out = parmem(&["batch", "FFT", "-k", "2,65"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("k = 65 is outside 1..=64"), "{stderr}");
+}
