@@ -222,7 +222,7 @@ impl Session {
     pub fn compile_tac(&self, tac: &TacProgram) -> CompiledProgram {
         let spec = self.machine();
         let tac = rliw_sim::pipeline::optimize_stage(tac, spec, &self.opts);
-        let sched = rliw_sim::pipeline::schedule_stage(&tac, spec, &self.opts);
+        let (sched, _) = rliw_sim::pipeline::schedule_stage(&tac, spec, &self.opts);
         CompiledProgram { tac, sched }
     }
 
