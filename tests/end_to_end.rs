@@ -7,9 +7,12 @@
 //! simulator entry points (`sim::run`, `sim::table2_row`) are exercised
 //! directly where a test wants an unverified run.
 
+use parallel_memories::core::layout::ArrayPolicy;
 use parallel_memories::core::prelude::*;
 use parallel_memories::driver::Session;
+use parallel_memories::ir::unroll::UnrollConfig;
 use parallel_memories::sim::{self, ArrayPlacement};
+use parallel_memories::verify;
 
 /// The historical plain-compile pipeline: frontend → schedule with
 /// renaming, no scalar optimizer.
@@ -42,6 +45,53 @@ fn all_benchmarks_all_strategies_run_conflict_free_k8() {
                 strategy.name()
             );
             assert_eq!(run.stats.unplaced_reads, 0);
+        }
+    }
+}
+
+#[test]
+fn job_verify_report_equals_verify_all() {
+    // A job checks the renaming on the scheduler's own webs, PM009 on its
+    // assign stage's trace and PM008 on its Table 2 execution; its report
+    // must still be the one `verify_all` derives from scratch.
+    let planned = |k| {
+        let mut s = Session::new(k)
+            .with_strategy(Strategy::STOR3)
+            .with_array_policy(ArrayPolicy::Auto);
+        s.opts.unroll = Some(UnrollConfig {
+            factor: 4,
+            max_body_stmts: 16,
+        });
+        s
+    };
+    for b in workloads::all_benchmarks() {
+        for k in [2, 4, 8] {
+            for session in [Session::new(k), planned(k)] {
+                let out = session
+                    .run(b.name, b.source)
+                    .outcome
+                    .unwrap_or_else(|e| panic!("{} k={k}: {e}", b.name));
+                let prog = session.compile(b.source).unwrap();
+                let (a, report) = session.assign(&prog);
+                let direct = verify::verify_all(&prog.tac, &prog.sched, &a, Some(&report));
+                assert_eq!(
+                    out.verify.to_json(),
+                    direct.to_json(),
+                    "{} k={k} {}",
+                    b.name,
+                    session.strategy.name()
+                );
+                assert_eq!(
+                    out.verify.checks_run,
+                    [
+                        "assignment",
+                        "trace-reconstruction",
+                        "scheduled-dataflow",
+                        "differential",
+                        "renaming"
+                    ]
+                );
+            }
         }
     }
 }
