@@ -167,6 +167,26 @@ impl ReachingDefs {
     /// each queried variable's facts are exactly those of a solve over every
     /// variable; unqueried variables get no sites and no `at_use` entries.
     pub fn compute(p: &TacProgram, query: &BitSet) -> ReachingDefs {
+        let mut at_use = HashMap::new();
+        let (sites, site_var) = Self::for_each_use(p, query, |site, defs| {
+            at_use.insert(site, defs.to_vec());
+        });
+        ReachingDefs {
+            sites,
+            site_var,
+            at_use,
+        }
+    }
+
+    /// Solve as [`ReachingDefs::compute`] does, but hand each queried use
+    /// site, once, and the definitions reaching it to `visit` instead of
+    /// keeping them in a map: reachable blocks in reverse postorder, uses in
+    /// program order, the terminator's last. Returns `(sites, site_var)`.
+    pub fn for_each_use(
+        p: &TacProgram,
+        query: &BitSet,
+        mut visit: impl FnMut((BlockId, u32, VarId), &[DefSite]),
+    ) -> (Vec<DefSite>, Vec<VarId>) {
         let cfg = Cfg::build(p);
         let g = FlowGraph::from_cfg(&cfg);
         let n_vars = p.vars.len();
@@ -238,26 +258,34 @@ impl ReachingDefs {
         let sol = solve(&g, &a, steps_bound(nb, n_sites));
         debug_assert!(sol.converged, "reaching defs is monotone");
 
-        // Walk each reachable block collecting the defs reaching each
-        // queried use: the block's own last def when there is one, else the
+        // Walk each reachable block visiting the defs reaching each queried
+        // use: the block's own last def when there is one, else the
         // variable's sites that reach the block entry.
-        let mut at_use = HashMap::new();
+        let mut defs: Vec<DefSite> = Vec::new();
         for &b in &cfg.rpo {
             let bi = b.index();
-            let reaching = |v: VarId, last: &[usize]| -> Vec<DefSite> {
+            let mut reaching = |site: (BlockId, u32, VarId), last: &[usize]| {
+                let v = site.2;
+                defs.clear();
                 match last[v.index()] {
-                    NO_SITE => sites_of_var[v.index()]
-                        .iter()
-                        .filter(|&&d| sol.input[bi].contains(d))
-                        .map(|&d| sites[d])
-                        .collect(),
-                    d => vec![sites[d]],
+                    NO_SITE => defs.extend(
+                        sites_of_var[v.index()]
+                            .iter()
+                            .filter(|&&d| sol.input[bi].contains(d))
+                            .map(|&d| sites[d]),
+                    ),
+                    d => defs.push(sites[d]),
                 }
+                visit(site, &defs);
             };
             let mut next = first_site[bi];
             for (ii, inst) in p.blocks[bi].instrs.iter().enumerate() {
-                for v in inst.reads().into_iter().filter(queried) {
-                    at_use.insert((b, ii as u32, v), reaching(v, &last));
+                // An instruction that reads a variable twice is one use site.
+                let reads = inst.reads();
+                for (j, v) in reads.iter().enumerate() {
+                    if queried(v) && !reads[..j].contains(v) {
+                        reaching((b, ii as u32, *v), &last);
+                    }
                 }
                 if let Some(v) = inst.writes().filter(queried) {
                     if last[v.index()] == NO_SITE {
@@ -268,18 +296,13 @@ impl ReachingDefs {
                 }
             }
             for v in p.blocks[bi].term.reads().into_iter().filter(queried) {
-                at_use.insert((b, TERM_IDX, v), reaching(v, &last));
+                reaching((b, TERM_IDX, v), &last);
             }
             for v in written.drain(..) {
                 last[v.index()] = NO_SITE;
             }
         }
-
-        ReachingDefs {
-            sites,
-            site_var,
-            at_use,
-        }
+        (sites, site_var)
     }
 }
 
@@ -1020,6 +1043,24 @@ mod tests {
         assert_eq!(got, want);
         assert!(sliced.site_var.iter().all(|&v| v == x));
         assert_eq!(sliced.sites[0], DefSite::Entry(x));
+    }
+
+    #[test]
+    fn use_visits_are_the_reaching_defs_map() {
+        // `y + y` reads `y` twice in one instruction: still one use site.
+        let p = tac("program t; var y, z: int;
+            begin y := 2; while y < 90 do y := y + y; z := y * y; print z; end.");
+        let query = all_vars(&p);
+        let mut visits = Vec::new();
+        let (sites, site_var) = ReachingDefs::for_each_use(&p, &query, |site, defs| {
+            visits.push((site, defs.to_vec()));
+        });
+        let rd = ReachingDefs::compute(&p, &query);
+        assert_eq!((sites, site_var), (rd.sites, rd.site_var));
+        assert_eq!(visits.len(), rd.at_use.len(), "each use site once");
+        for (site, defs) in &visits {
+            assert_eq!(&rd.at_use[site], defs);
+        }
     }
 
     #[test]
