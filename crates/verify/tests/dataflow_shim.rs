@@ -1,16 +1,16 @@
 //! Differential pin for the dataflow shim: `parmem_verify::dataflow`'s
-//! `ReachingDefs` and `Liveness` now delegate to the shared `parmem-lint`
-//! fixpoint engine. This test embeds a verbatim copy of the historical
-//! from-scratch solvers and checks that the shimmed results are
-//! byte-identical (under a canonical serialization) on every workload in
-//! the corpus, with no unroll and unrolled by 4, both unoptimized and after
-//! the full `liw-opt` pipeline.
+//! `for_each_use` (reaching definitions) and `Liveness` delegate to the
+//! shared `parmem-lint` fixpoint engine. This test embeds a verbatim copy of
+//! the historical from-scratch solvers and checks that the shimmed results
+//! are byte-identical (under a canonical serialization) on every workload
+//! in the corpus, with no unroll and unrolled by 4, both unoptimized and
+//! after the full `liw-opt` pipeline.
 
 use std::collections::{HashMap, HashSet};
 
 use liw_ir::tac::{BlockId, TacProgram, VarId};
 use liw_ir::webs::TERM_IDX;
-use parmem_verify::dataflow::{Def, Liveness, ReachingDefs};
+use parmem_verify::dataflow::{for_each_use, Def, Liveness};
 
 /// The historical implementations, copied verbatim from
 /// `crates/verify/src/dataflow.rs` as of the commit that introduced the
@@ -228,10 +228,14 @@ fn canon_live(live_in: &[HashSet<VarId>], live_out: &[HashSet<VarId>]) -> String
 }
 
 fn check_program(label: &str, p: &TacProgram) {
-    let new_rd = ReachingDefs::compute(p);
+    let mut new_at_use = HashMap::new();
+    for_each_use(p, |site, defs| {
+        let again = new_at_use.insert(site, defs.collect());
+        assert!(again.is_none(), "use {site:?} visited twice on {label}");
+    });
     let old_rd = reference::RefReachingDefs::compute(p);
     assert_eq!(
-        canon_rd(&new_rd.at_use),
+        canon_rd(&new_at_use),
         canon_rd(&old_rd.at_use),
         "reaching defs diverged on {label}"
     );
