@@ -14,7 +14,7 @@ use crate::coloring::color_graph;
 use crate::duplication::{backtrack_duplicate, hitting_set_duplicate};
 use crate::graph::ConflictGraph;
 use crate::matching;
-use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
+use crate::types::{AccessTrace, ModuleId, ModuleSet, ValueId, ValueMask, MAX_MODULES};
 
 /// Below this many vertices the per-component coloring fan-out stays on the
 /// calling thread regardless of `AssignParams::jobs`: paper-scale graphs gain
@@ -99,8 +99,7 @@ impl Assignment {
     /// Run `f` on the copy sets of `inst`'s operands, in operand order,
     /// gathered on the stack (only an instruction wider than
     /// [`MAX_MODULES`] gathers on the heap).
-    fn with_copy_sets<R>(&self, inst: &OperandSet, f: impl FnOnce(&[ModuleSet]) -> R) -> R {
-        let ops = inst.values();
+    fn with_copy_sets<R>(&self, ops: &[ValueId], f: impl FnOnce(&[ModuleSet]) -> R) -> R {
         if ops.len() > MAX_MODULES {
             return f(&ops.iter().map(|&v| self.copies(v)).collect::<Vec<_>>());
         }
@@ -112,13 +111,13 @@ impl Assignment {
     }
 
     /// Whether `inst` can fetch all operands in one parallel access.
-    pub fn instruction_conflict_free(&self, inst: &OperandSet) -> bool {
+    pub fn instruction_conflict_free(&self, inst: &[ValueId]) -> bool {
         self.with_copy_sets(inst, matching::instruction_conflict_free)
     }
 
     /// Fetch makespan of `inst` (1 = conflict-free); `None` if an operand is
     /// unplaced.
-    pub fn fetch_makespan(&self, inst: &OperandSet) -> Option<usize> {
+    pub fn fetch_makespan(&self, inst: &[ValueId]) -> Option<usize> {
         self.with_copy_sets(inst, matching::fetch_makespan)
     }
 
@@ -614,7 +613,7 @@ fn repair<'t>(
     trace: &'t AccessTrace,
     dup_ok: &ValueMask,
     assignment: &mut Assignment,
-) -> (usize, Vec<&'t OperandSet>) {
+) -> (usize, Vec<&'t [ValueId]>) {
     let k = trace.modules;
     let mut added = 0;
     let mut left = Vec::new();
@@ -629,12 +628,12 @@ fn repair<'t>(
         // Ensure every operand has at least one copy (unplaced values can
         // appear if a trace mentions values the coloring never saw — not
         // possible via the public pipeline, but cheap to guard).
-        for v in inst.iter() {
+        for &v in inst {
             if !assignment.is_placed(v) {
                 let used: ModuleSet = inst
                     .iter()
-                    .filter(|&o| o != v)
-                    .map(|o| assignment.copies(o))
+                    .filter(|&&o| o != v)
+                    .map(|&o| assignment.copies(o))
                     .fold(ModuleSet::EMPTY, |acc, s| {
                         if s.len() == 1 {
                             acc.union(s)
@@ -652,11 +651,12 @@ fn repair<'t>(
         while !assignment.instruction_conflict_free(inst) {
             let occupied: ModuleSet = inst
                 .iter()
-                .map(|o| assignment.copies(o))
+                .map(|&o| assignment.copies(o))
                 .fold(ModuleSet::EMPTY, ModuleSet::union);
             let free = ModuleSet::all(k).difference(occupied);
             let candidate = inst
                 .iter()
+                .copied()
                 .filter(|&v| dup_ok.contains(v) || !free.is_empty())
                 .find(|&v| assignment.copies(v).len() < k);
             let Some(v) = candidate else { break };
@@ -833,7 +833,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let t = AccessTrace::new(4, vec![]);
+        let t = AccessTrace::new(4, crate::types::Instructions::new());
         let (a, r) = assign_trace(&t, &AssignParams::default());
         assert_eq!(r.single_copy, 0);
         assert_eq!(a.total_copies(), 0);

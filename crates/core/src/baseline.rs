@@ -25,12 +25,10 @@ pub fn round_robin(trace: &AccessTrace) -> Assignment {
     let mut a = Assignment::new(trace.modules);
     let k = trace.modules;
     let mut next = 0usize;
-    for inst in &trace.instructions {
-        for v in inst.iter() {
-            if !a.is_placed(v) {
-                a.add_copy(v, ModuleId((next % k) as u16));
-                next += 1;
-            }
+    for &v in trace.instructions.operands() {
+        if !a.is_placed(v) {
+            a.add_copy(v, ModuleId((next % k) as u16));
+            next += 1;
         }
     }
     a

@@ -16,7 +16,7 @@
 use crate::assignment::Assignment;
 use crate::layout::{place_values, DuplicationIndex};
 use crate::matching;
-use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
+use crate::types::{AccessTrace, ModuleId, ModuleSet, ValueId, ValueMask, MAX_MODULES};
 
 // ---------------------------------------------------------------------------
 // §2.2.1 Backtracking
@@ -47,7 +47,7 @@ pub fn backtrack_duplicate(
     order.sort_by_key(|&i| {
         let n_dup = trace.instructions[i]
             .iter()
-            .filter(|&v| dup_ok.contains(v))
+            .filter(|&&v| dup_ok.contains(v))
             .count();
         (n_dup, i)
     });
@@ -70,7 +70,7 @@ pub fn backtrack_duplicate(
 /// or `None` if no conflict-free placement exists (e.g. a non-duplicable
 /// operand pair pinned to one module).
 fn best_instruction_placement(
-    inst: &OperandSet,
+    inst: &[ValueId],
     dup_ok: &ValueMask,
     assignment: &Assignment,
     k: usize,
@@ -83,7 +83,7 @@ fn best_instruction_placement(
     }
     let mut ops: Vec<Op> = inst
         .iter()
-        .map(|v| Op {
+        .map(|&v| Op {
             value: v,
             existing: assignment.copies(v),
             duplicable: dup_ok.contains(v),
@@ -223,8 +223,7 @@ pub fn conflicting_candidate_sets(
 ) -> Vec<Vec<ValueId>> {
     let k = trace.modules;
     let mut family: Vec<Vec<ValueId>> = Vec::new();
-    for inst in index.conflicting_instructions(trace) {
-        let ops = inst.values();
+    for ops in index.conflicting_instructions(trace) {
         if ops.len() < num || ops.len() > k {
             continue;
         }

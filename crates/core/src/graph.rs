@@ -61,7 +61,7 @@ impl ConflictGraph {
         const UNSEEN: u32 = u32::MAX;
         const KEPT: u32 = 1;
         let mut dense = vec![UNSEEN; trace.value_table_len()];
-        for v in trace.instructions.iter().flat_map(|i| i.iter()) {
+        for &v in trace.instructions.operands() {
             let slot = &mut dense[v.index()];
             if *slot == UNSEEN {
                 *slot = u32::from(keep(v));

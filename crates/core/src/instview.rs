@@ -40,7 +40,7 @@ impl InstructionView {
                 continue;
             }
             let before = ops.len();
-            ops.extend(op.iter().filter_map(|v| graph.vertex_of(v)));
+            ops.extend(op.iter().filter_map(|&v| graph.vertex_of(v)));
             if ops.len() - before < 2 {
                 // Filtered graphs can project a word down to < 2 operands;
                 // such words can no longer conflict, so they leave the view.

@@ -32,7 +32,7 @@ use std::cmp::Reverse;
 use parmem_obs::digest::Fnv1a;
 
 use crate::assignment::Assignment;
-use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId, ValueMask, MAX_MODULES};
+use crate::types::{AccessTrace, ModuleId, ModuleSet, ValueId, ValueMask, MAX_MODULES};
 
 /// The compile-time array-placement policy knob surfaced by the driver,
 /// the CLI (`--array-policy`), and the serve protocol.
@@ -345,7 +345,7 @@ impl DuplicationIndex {
         let (mut insts, mut group, mut conflicting) = (Vec::new(), Vec::new(), Vec::new());
         for (i, inst) in trace.instructions.iter().enumerate() {
             let mut dup = 0;
-            for v in inst.iter().filter(|&v| mask.contains(v)) {
+            for v in inst.iter().filter(|&&v| mask.contains(v)) {
                 occ_start[v.index() + 1] += 1;
                 dup += 1;
             }
@@ -369,7 +369,7 @@ impl DuplicationIndex {
         let mut occ = vec![0u32; occ_start[table_len] as usize];
         let mut cursor = occ_start.clone();
         for (pos, &i) in insts.iter().enumerate() {
-            for v in trace.instructions[i as usize].iter() {
+            for &v in &trace.instructions[i as usize] {
                 if mask.contains(v) {
                     occ[cursor[v.index()] as usize] = pos as u32;
                     cursor[v.index()] += 1;
@@ -395,7 +395,7 @@ impl DuplicationIndex {
     pub(crate) fn conflicting_instructions<'t>(
         &'t self,
         trace: &'t AccessTrace,
-    ) -> impl Iterator<Item = &'t OperandSet> + 't {
+    ) -> impl Iterator<Item = &'t [ValueId]> + 't {
         self.insts
             .iter()
             .zip(&self.conflicting)
@@ -493,7 +493,7 @@ pub fn place_values(
         // module (only v's copies change below, so these stay fixed).
         let mut clashes = [0usize; MAX_MODULES];
         for &p in index.occurrences(v) {
-            for o in trace.instructions[index.insts[p as usize] as usize].iter() {
+            for &o in &trace.instructions[index.insts[p as usize] as usize] {
                 let oc = assignment.copies(o);
                 match oc.first() {
                     Some(m) if o != v && oc.len() == 1 => clashes[m.index()] += 1,

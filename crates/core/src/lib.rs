@@ -73,7 +73,7 @@ pub mod prelude {
         exact_solver_installed, install_exact_solver, run_strategy, RegionizedTrace, Strategy,
         StrategyInfo, STRATEGY_REGISTRY,
     };
-    pub use crate::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId};
+    pub use crate::types::{AccessTrace, Instructions, ModuleId, ModuleSet, ValueId};
 }
 
 pub use prelude::*;

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::types::{AccessTrace, OperandSet, ValueId};
+use crate::types::{AccessTrace, Instructions, ValueId};
 
 /// A parsed trace plus the name table for printing results back.
 #[derive(Clone, Debug)]
@@ -60,7 +60,7 @@ pub fn parse_trace(text: &str) -> Result<NamedTrace, TraceParseError> {
     let mut modules: Option<usize> = None;
     let mut names: Vec<String> = Vec::new();
     let mut ids: HashMap<String, u32> = HashMap::new();
-    let mut instructions = Vec::new();
+    let mut instructions = Instructions::new();
 
     for (ln, raw) in text.lines().enumerate() {
         let line = ln + 1;
@@ -101,18 +101,14 @@ pub fn parse_trace(text: &str) -> Result<NamedTrace, TraceParseError> {
             }
             continue;
         }
-        let ops: Vec<ValueId> = tokens
-            .iter()
-            .map(|t| {
-                let next = names.len() as u32;
-                let id = *ids.entry(t.to_string()).or_insert_with(|| {
-                    names.push(t.to_string());
-                    next
-                });
-                ValueId(id)
-            })
-            .collect();
-        instructions.push(OperandSet::new(ops));
+        instructions.push(tokens.iter().map(|t| {
+            let next = names.len() as u32;
+            let id = *ids.entry(t.to_string()).or_insert_with(|| {
+                names.push(t.to_string());
+                next
+            });
+            ValueId(id)
+        }));
     }
 
     let modules = modules.ok_or(TraceParseError {
@@ -160,8 +156,7 @@ mod tests {
     fn arbitrary_names_are_interned() {
         let t = parse_trace("modules 2\nx y\ny zulu\n").unwrap();
         assert_eq!(t.names, vec!["x", "y", "zulu"]);
-        assert!(t.trace.instructions[1].contains(ValueId(1)));
-        assert!(t.trace.instructions[1].contains(ValueId(2)));
+        assert_eq!(&t.trace.instructions[1], &[ValueId(1), ValueId(2)]);
     }
 
     #[test]

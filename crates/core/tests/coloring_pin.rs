@@ -18,7 +18,7 @@ use std::cmp::Ordering;
 use parmem_core::coloring::{color_graph, Coloring};
 use parmem_core::graph::ConflictGraph;
 use parmem_core::synth::{random_trace, scale_trace, ScaleSpec, TraceSpec};
-use parmem_core::types::{AccessTrace, ModuleId, ModuleSet, OperandSet, ValueId};
+use parmem_core::types::{AccessTrace, ModuleId, ModuleSet, ValueId};
 use parmem_obs::digest::Fnv1a;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -188,7 +188,7 @@ fn sparse(dense: &AccessTrace) -> AccessTrace {
         dense
             .instructions
             .iter()
-            .map(|i| OperandSet::new(i.iter().map(|v| ValueId(v.0 * 37 + 5)).collect()))
+            .map(|i| i.iter().map(|v| ValueId(v.0 * 37 + 5)))
             .collect(),
     )
 }
@@ -395,7 +395,7 @@ proptest! {
         };
         let dense = random_trace(&spec, seed);
         for t in [&dense, &sparse(&dense)] {
-            let mut want: Vec<ValueId> = t.instructions.iter().flat_map(|i| i.iter()).collect();
+            let mut want: Vec<ValueId> = t.instructions.operands().to_vec();
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(t.distinct_values(), want);

@@ -16,7 +16,7 @@ use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
 use parmem_core::graph::ConflictGraph;
-use parmem_core::types::{AccessTrace, OperandSet, ValueId};
+use parmem_core::types::{AccessTrace, ValueId};
 
 /// The pre-CSR formulation: distinct values + a pair→conf map.
 struct NaiveGraph {
@@ -36,14 +36,15 @@ fn naive_build(trace: &AccessTrace, keep: impl Fn(ValueId) -> bool) -> NaiveGrap
     let mut values: Vec<ValueId> = trace
         .instructions
         .iter()
-        .flat_map(|i| i.iter())
+        .flatten()
+        .copied()
         .filter(|&v| keep(v))
         .collect();
     values.sort_unstable();
     values.dedup();
     let mut conf = BTreeMap::new();
     for inst in &trace.instructions {
-        let ops: Vec<ValueId> = inst.iter().filter(|&v| keep(v)).collect();
+        let ops: Vec<ValueId> = inst.iter().copied().filter(|&v| keep(v)).collect();
         for i in 0..ops.len() {
             for j in (i + 1)..ops.len() {
                 *conf.entry(key(ops[i], ops[j])).or_insert(0u32) += 1;
@@ -124,7 +125,7 @@ fn arb_trace() -> impl Strategy<Value = AccessTrace> {
                 modules,
                 insts
                     .into_iter()
-                    .map(|ops| OperandSet::new(ops.into_iter().map(ValueId).collect()))
+                    .map(|ops| ops.into_iter().map(ValueId))
                     .collect(),
             )
         })

@@ -35,7 +35,7 @@ pub use certificate::{CertStatus, Certificate};
 pub use gap::heuristic_single_copy_residual;
 
 use parmem_core::assignment::{AssignParams, Assignment};
-use parmem_core::types::{AccessTrace, ModuleId, ModuleSet, OperandSet};
+use parmem_core::types::{AccessTrace, ModuleId, ModuleSet};
 
 use bnb::{Budget, Searcher};
 use instance::{Instance, NONE};
@@ -177,15 +177,7 @@ pub fn solve(trace: &AccessTrace, cfg: &ExactConfig) -> ExactOutcome {
                     k,
                     local
                         .iter()
-                        .map(|&i| {
-                            OperandSet::new(
-                                inst.view
-                                    .operands(i)
-                                    .iter()
-                                    .map(|&v| inst.graph.value(v))
-                                    .collect(),
-                            )
-                        })
+                        .map(|&i| inst.view.operands(i).iter().map(|&v| inst.graph.value(v)))
                         .collect(),
                 );
                 let comp_values: Vec<_> = comp.iter().map(|&v| inst.graph.value(v)).collect();

@@ -3,7 +3,7 @@
 
 use liw_ir::tac::{ArrayId, ArrayInfo, BlockId, OpCode, Value, VarId};
 use parmem_core::strategies::RegionizedTrace;
-use parmem_core::types::{AccessTrace, OperandSet, ValueId};
+use parmem_core::types::{AccessTrace, Instructions, ValueId};
 use parmem_obs::digest::Fnv1a;
 
 /// Machine configuration for scheduling: how much a long word can carry.
@@ -354,39 +354,47 @@ impl SchedProgram {
     /// The static access trace: one operand set per long word, in block
     /// order. This is what the module-assignment algorithms consume.
     pub fn access_trace(&self) -> AccessTrace {
-        let mut insts = Vec::with_capacity(self.word_count());
-        for b in &self.blocks {
+        self.trace_of(self.blocks.iter())
+    }
+
+    /// The access trace region by region, each region's words in block
+    /// order: the order the storage strategies assign in.
+    pub fn region_major_trace(&self) -> AccessTrace {
+        let mut order: Vec<usize> = (0..self.blocks.len()).collect();
+        order.sort_by_key(|&b| self.region_of_block[b]);
+        self.trace_of(order.into_iter().map(|b| &self.blocks[b]))
+    }
+
+    /// One operand set per word of `blocks`, in order.
+    fn trace_of<'s>(&'s self, blocks: impl Iterator<Item = &'s SchedBlock>) -> AccessTrace {
+        let mut insts = Instructions::with_capacity(self.word_count(), 0);
+        for b in blocks {
             for i in 0..b.words.len() {
-                insts.push(OperandSet::new(
-                    b.word_operands(i).into_iter().map(ValueId).collect(),
-                ));
+                insts.push(b.word_operands(i).into_iter().map(ValueId));
             }
         }
         AccessTrace::new(self.spec.modules, insts)
     }
 
-    /// The region-partitioned trace for the STOR2 strategy: per-region word
-    /// streams plus the set of data values live across regions (values read
-    /// or written in more than one region).
+    /// The region-partitioned trace for the STOR2 strategy: the
+    /// [`SchedProgram::region_major_trace`] cut into regions, plus the set
+    /// of data values live across regions (values read or written in more
+    /// than one region).
     pub fn regionized_trace(&self) -> RegionizedTrace {
-        let mut regions: Vec<Vec<OperandSet>> = vec![Vec::new(); self.n_regions];
+        let mut region_ends = vec![0usize; self.n_regions];
         let mut region_uses: Vec<std::collections::HashSet<u32>> =
             vec![Default::default(); self.n_regions];
 
         for (bi, b) in self.blocks.iter().enumerate() {
             let r = self.region_of_block[bi] as usize;
+            region_ends[r] += b.words.len();
             for i in 0..b.words.len() {
-                let ops = b.word_operands(i);
-                for &w in &ops {
-                    region_uses[r].insert(w);
-                }
-                for op in &b.words[i].ops {
-                    if let Some(w) = op.writes() {
-                        region_uses[r].insert(w);
-                    }
-                }
-                regions[r].push(OperandSet::new(ops.into_iter().map(ValueId).collect()));
+                region_uses[r].extend(b.word_operands(i));
+                region_uses[r].extend(b.words[i].ops.iter().filter_map(SlotOp::writes));
             }
+        }
+        for r in 1..region_ends.len() {
+            region_ends[r] += region_ends[r - 1];
         }
 
         let mut count: std::collections::HashMap<u32, usize> = Default::default();
@@ -401,11 +409,7 @@ impl SchedProgram {
             .map(|(w, _)| ValueId(w))
             .collect();
 
-        RegionizedTrace {
-            modules: self.spec.modules,
-            regions,
-            globals,
-        }
+        RegionizedTrace::new(self.region_major_trace(), region_ends, globals)
     }
 
     /// Histogram of scalar-operand counts per word: `h[i]` = number of
@@ -440,11 +444,8 @@ impl SchedProgram {
     /// (the paper's Table 1 counts scalars, i.e. placed values).
     pub fn used_values(&self) -> usize {
         let t = self.access_trace();
-        let mut vals: std::collections::HashSet<u32> = t
-            .instructions
-            .iter()
-            .flat_map(|i| i.iter().map(|v| v.0))
-            .collect();
+        let mut vals: std::collections::HashSet<u32> =
+            t.instructions.operands().iter().map(|v| v.0).collect();
         for b in &self.blocks {
             for w in &b.words {
                 for op in &w.ops {

@@ -715,7 +715,7 @@ mod tests {
             MachineSpec::with_modules(4),
         );
         let rt = sp.regionized_trace();
-        assert!(rt.regions.len() >= 2);
+        assert!(rt.regions().len() >= 2);
         // s and i straddle the loop boundary → several globals.
         assert!(!rt.globals.is_empty());
         // Flat trace equals access trace length.

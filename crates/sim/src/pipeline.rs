@@ -12,7 +12,7 @@ use liw_ir::Webs;
 use liw_sched::{MachineSpec, SchedProgram};
 use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
 use parmem_core::layout::MemoryLayout;
-use parmem_core::strategies::{run_strategy, Strategy};
+use parmem_core::strategies::{run_strategy, RegionizedTrace, Strategy};
 
 use crate::arrays::ArrayPlacement;
 use crate::machine::{self, SimError, SimStats};
@@ -132,13 +132,19 @@ pub fn compile_with(
     Ok(CompiledProgram { tac, sched })
 }
 
-/// Stage 4 — run a storage strategy over the scheduled program's trace.
+/// Stage 4 — run a storage strategy over the scheduled program's trace,
+/// taken region by region. Only STOR2 reads where the regions end and
+/// which values cross them, so only STOR2 pays for working that out.
 pub fn assign(
     sched: &SchedProgram,
     strategy: Strategy,
     params: &AssignParams,
 ) -> (Assignment, AssignmentReport) {
-    run_strategy(&sched.regionized_trace(), strategy, params)
+    let rt = match strategy {
+        Strategy::Stor2 => sched.regionized_trace(),
+        _ => RegionizedTrace::whole(sched.region_major_trace()),
+    };
+    run_strategy(&rt, strategy, params)
 }
 
 /// The paper's Table 2 measurements for one program: transfer time under

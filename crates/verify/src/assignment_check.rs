@@ -100,7 +100,7 @@ impl TraceAudit {
         let mut makespans = Vec::with_capacity(trace.instructions.len());
         let mut conflicting = Vec::new();
         for (i, inst) in trace.instructions.iter().enumerate() {
-            let masks: Vec<u64> = inst.iter().map(|v| assignment.copies(v).0).collect();
+            let masks: Vec<u64> = inst.iter().map(|&v| assignment.copies(v).0).collect();
             let ms = min_makespan(&masks).unwrap_or(usize::MAX);
             if ms != 1 {
                 conflicting.push(i);
@@ -157,7 +157,7 @@ pub fn check_assignment(
                 .at_instruction(i),
             );
         }
-        for v in inst.iter() {
+        for &v in inst {
             if assignment.copies(v).is_empty() && unplaced_reported.insert(v) {
                 diags.push(
                     Diagnostic::new(Code::PM002, format!("value {v} has no copy in any module"))
@@ -191,8 +191,7 @@ pub fn check_assignment(
     // PM005: rebuild the conflict graph pairwise and flag any co-occurring
     // pair of single-copy values sharing their only module.
     let mut pairs: HashSet<(ValueId, ValueId)> = HashSet::new();
-    for inst in &trace.instructions {
-        let vs: Vec<ValueId> = inst.iter().collect();
+    for vs in &trace.instructions {
         for a in 0..vs.len() {
             for b in (a + 1)..vs.len() {
                 let key = if vs[a] < vs[b] {
@@ -269,10 +268,8 @@ pub fn check_assignment(
 /// callers that want to rank diagnostics by how hot the offending value is.
 pub fn value_frequencies(trace: &AccessTrace) -> HashMap<ValueId, usize> {
     let mut f = HashMap::new();
-    for inst in &trace.instructions {
-        for v in inst.iter() {
-            *f.entry(v).or_insert(0) += 1;
-        }
+    for &v in trace.instructions.operands() {
+        *f.entry(v).or_insert(0) += 1;
     }
     f
 }
@@ -330,7 +327,7 @@ mod tests {
         let t = fig1();
         let (mut a, _) = assign_trace(&t, &AssignParams::default());
         // Force the first instruction's first two operands into one module.
-        let vs: Vec<ValueId> = t.instructions[0].iter().collect();
+        let vs = &t.instructions[0];
         a.set_copies(vs[0], ModuleSet::singleton(ModuleId(0)));
         a.set_copies(vs[1], ModuleSet::singleton(ModuleId(0)));
         let diags = check_assignment(&t, &a, None);

@@ -88,7 +88,7 @@ pub fn check_certificate(
         let mut conflict = false;
         let mut any_unplaced = false;
         for v in inst.iter() {
-            match placed.get(&v) {
+            match placed.get(v) {
                 Some(&m) => {
                     let slot = (m as usize).min(64);
                     if seen[slot] {

@@ -11,7 +11,7 @@
 
 use liw_sched::{SOperand, SchedProgram, SchedTerm, SlotOp};
 use parmem_core::assignment::Assignment;
-use parmem_core::types::{AccessTrace, OperandSet, ValueId};
+use parmem_core::types::{AccessTrace, Instructions, ValueId};
 use rliw_sim::SimStats;
 
 use crate::assignment_check::min_makespan;
@@ -21,10 +21,12 @@ use crate::diag::{Code, Diagnostic};
 /// `SchedProgram::access_trace` or any of its helpers. One operand set per
 /// word; a `Branch` condition is fetched during its block's final word.
 pub fn rebuild_trace(sched: &SchedProgram) -> AccessTrace {
-    let mut insts = Vec::new();
+    let words = sched.blocks.iter().map(|b| b.words.len()).sum();
+    let mut insts = Instructions::with_capacity(words, 0);
+    let mut reads: Vec<ValueId> = Vec::new();
     for b in &sched.blocks {
         for (wi, word) in b.words.iter().enumerate() {
-            let mut reads: Vec<ValueId> = Vec::new();
+            reads.clear();
             let mut push = |o: &SOperand| {
                 if let SOperand::Scalar(w) = o {
                     reads.push(ValueId(*w));
@@ -61,7 +63,7 @@ pub fn rebuild_trace(sched: &SchedProgram) -> AccessTrace {
                     push(cond);
                 }
             }
-            insts.push(OperandSet::new(reads));
+            insts.push(reads.iter().copied());
         }
     }
     AccessTrace::new(sched.spec.modules, insts)
@@ -104,13 +106,23 @@ pub fn check_trace_against(published: &AccessTrace, rebuilt: &AccessTrace) -> Ve
             diags.push(
                 Diagnostic::new(
                     Code::PM009,
-                    format!("trace word reads {p:?}, reconstruction reads {r:?}"),
+                    format!(
+                        "trace word reads {}, reconstruction reads {}",
+                        operand_set(p),
+                        operand_set(r)
+                    ),
                 )
                 .at_instruction(i),
             );
         }
     }
     diags
+}
+
+/// An operand set as PM009 names it: `{V1, V4}`.
+fn operand_set(ops: &[ValueId]) -> String {
+    let names: Vec<String> = ops.iter().map(ValueId::to_string).collect();
+    format!("{{{}}}", names.join(", "))
 }
 
 /// What the verifier can predict about conflicts without executing.
@@ -169,7 +181,7 @@ pub(crate) fn predict_on(
         }
         let masks: Vec<u64> = inst
             .iter()
-            .map(|v| match assignment.copies(v).0 {
+            .map(|&v| match assignment.copies(v).0 {
                 0 => 1, // the machine falls back to module 0
                 m => m,
             })

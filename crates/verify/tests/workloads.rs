@@ -92,7 +92,7 @@ fn corrupted_assignment_yields_pm_diagnostic_naming_the_instruction() {
         .iter()
         .position(|i| i.len() >= 2)
         .expect("some word fetches two scalars");
-    let ops: Vec<_> = trace.instructions[inst].iter().collect();
+    let ops = &trace.instructions[inst];
     a.set_copies(ops[0], ModuleSet::singleton(ModuleId(3)));
     a.set_copies(ops[1], ModuleSet::singleton(ModuleId(3)));
 

@@ -35,7 +35,7 @@ fn main() {
     // coefficients) appear in most rounds; the rest follow a skewed
     // popularity distribution — typical read-only sharing.
     let mut rng = ChaCha8Rng::seed_from_u64(2026);
-    let mut access_rounds: Vec<OperandSet> = Vec::with_capacity(rounds);
+    let mut access_rounds = Instructions::with_capacity(rounds, rounds * processors);
     for _ in 0..rounds {
         let mut reads = Vec::with_capacity(processors);
         for p in 0..processors {
@@ -51,7 +51,7 @@ fn main() {
             reads.push(ValueId(item));
             let _ = p;
         }
-        access_rounds.push(OperandSet::new(reads));
+        access_rounds.push(reads);
     }
     let trace = AccessTrace::new(caches, access_rounds);
 

@@ -13,7 +13,7 @@ use parallel_memories::core::duplication::hitting_set;
 use parallel_memories::core::graph::ConflictGraph;
 use parallel_memories::core::matching;
 use parallel_memories::core::prelude::{
-    assign_trace, AccessTrace, AssignParams, DuplicationStrategy, OperandSet, ValueId,
+    assign_trace, AccessTrace, AssignParams, DuplicationStrategy, ValueId,
 };
 use parallel_memories::core::types::{ModuleId, ModuleSet};
 
@@ -27,7 +27,7 @@ fn arb_trace() -> impl Strategy<Value = AccessTrace> {
                 k,
                 insts
                     .into_iter()
-                    .map(|ops| OperandSet::new(ops.into_iter().map(ValueId).collect()))
+                    .map(|ops| ops.into_iter().map(ValueId))
                     .collect(),
             )
         })
