@@ -276,3 +276,28 @@ fn out_of_range_module_counts_and_unroll_exit_1() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("k = 65 is outside 1..=64"), "{stderr}");
 }
+
+/// `verify` resolves its target as the other subcommands do: a bundled
+/// workload name first, a readable file second, and anything else is exit 1
+/// with a message naming the target.
+#[test]
+fn verify_takes_workload_names_and_names_missing_targets() {
+    let out = parmem(&["verify", "FFT", "-k", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{stdout}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("checks clean"), "{stdout}");
+
+    let out = parmem(&["verify", "nosuch.mini"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("`nosuch.mini` is neither a workload nor a readable file"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
