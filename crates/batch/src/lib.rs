@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use parmem_core::strategies::Strategy;
-use parmem_driver::{JobResult, JobSpec};
+use parmem_driver::{JobResult, JobSpec, Session};
 
 // The whole point of the engine is shipping pipeline state across worker
 // threads — assert the key types stay `Send + Sync` at compile time.
@@ -101,23 +101,25 @@ pub fn run_batch(specs: Vec<JobSpec>, opts: &BatchOptions) -> BatchReport {
 }
 
 /// Job specs for a workload sweep: every named benchmark at every `k`, under
-/// every strategy, with the given seed. Order is benchmark-major then `k`
-/// then strategy, matching the paper's table layouts.
+/// every strategy, with the rest of `base`'s configuration (its own `k` and
+/// strategy are replaced). Order is benchmark-major then `k` then strategy,
+/// matching the paper's table layouts.
 pub fn sweep_jobs(
     benches: &[workloads::Benchmark],
     ks: &[usize],
     strategies: &[Strategy],
-    seed: u64,
+    base: &Session,
 ) -> Vec<JobSpec> {
     let mut specs = Vec::with_capacity(benches.len() * ks.len() * strategies.len());
     for b in benches {
         for &k in ks {
-            for &s in strategies {
-                specs.push(
-                    JobSpec::new(b.name, b.source, k)
-                        .with_strategy(s)
-                        .with_seed(seed),
-                );
+            for &strategy in strategies {
+                let session = Session {
+                    k,
+                    strategy,
+                    ..base.clone()
+                };
+                specs.push(session.job(b.name, b.source));
             }
         }
     }
@@ -131,7 +133,7 @@ pub fn paper_jobs() -> Vec<JobSpec> {
         &workloads::benchmarks(),
         &[2, 4, 8],
         &[Strategy::Stor1],
-        0xC0FFEE,
+        &Session::new(2),
     )
 }
 
@@ -150,7 +152,7 @@ mod tests {
     #[test]
     fn batch_results_keep_submission_order() {
         let specs: Vec<JobSpec> = (0..6)
-            .map(|n| JobSpec::new(format!("P{n}"), src(n), 4))
+            .map(|n| Session::new(4).job(format!("P{n}"), src(n)))
             .collect();
         let report = run_batch(
             specs,
@@ -172,7 +174,7 @@ mod tests {
     fn deterministic_across_worker_counts() {
         let mk = || {
             (0..5)
-                .map(|n| JobSpec::new(format!("P{n}"), src(n), 4))
+                .map(|n| Session::new(4).job(format!("P{n}"), src(n)))
                 .collect::<Vec<_>>()
         };
         let a = run_batch(
@@ -196,11 +198,20 @@ mod tests {
     #[test]
     fn sweep_jobs_covers_the_cartesian_product() {
         let benches = workloads::benchmarks();
-        let specs = sweep_jobs(&benches, &[2, 4, 8], &[Strategy::Stor1, Strategy::Stor2], 7);
+        let base = Session::new(8).with_seed(7).without_optimizer();
+        let specs = sweep_jobs(
+            &benches,
+            &[2, 4, 8],
+            &[Strategy::Stor1, Strategy::Stor2],
+            &base,
+        );
         assert_eq!(specs.len(), benches.len() * 3 * 2);
         assert_eq!(specs[0].program, "TAYLOR1");
-        assert_eq!(specs[0].k, 2);
-        assert!(specs.iter().all(|s| s.seed == 7));
+        assert_eq!(specs[0].session.k, 2);
+        assert_eq!(specs[1].session.strategy, Strategy::Stor2);
+        assert!(specs
+            .iter()
+            .all(|s| s.session.seed == 7 && !s.session.opts.optimize));
     }
 
     #[test]

@@ -123,8 +123,8 @@ impl BatchReport {
                         s,
                         "{:<10} {:>2} {:<5} | {:>8} {:>12.4} {:>8} {:>8} {:>8} | {:>6} {:>5} {:>7.2}x | ok{}{}",
                         r.spec.program,
-                        r.spec.k,
-                        r.spec.strategy.name(),
+                        r.spec.session.k,
+                        r.spec.session.strategy.name(),
                         o.table2.t_min,
                         o.table2.t_ave_analytic,
                         o.table2.t_ave_measured,
@@ -142,8 +142,8 @@ impl BatchReport {
                         s,
                         "{:<10} {:>2} {:<5} | {:>62} | {}",
                         r.spec.program,
-                        r.spec.k,
-                        r.spec.strategy.name(),
+                        r.spec.session.k,
+                        r.spec.session.strategy.name(),
                         "-",
                         e
                     );
@@ -257,9 +257,9 @@ impl BatchReport {
                 s,
                 "{},{},{},{},{}",
                 csv_escape(&r.spec.program),
-                r.spec.k,
-                r.spec.strategy.name(),
-                r.spec.seed,
+                r.spec.session.k,
+                r.spec.session.strategy.name(),
+                r.spec.session.seed,
                 r.status()
             );
             match &r.outcome {
@@ -358,8 +358,8 @@ impl BatchReport {
                          | single={} multi={} extra={} residual={} \
                          | values={} swords={} words={} cycles={} steps={} out={} hash={:016x}{}{}",
                         r.spec.program,
-                        r.spec.k,
-                        r.spec.strategy.name(),
+                        r.spec.session.k,
+                        r.spec.session.strategy.name(),
                         o.table2.t_min,
                         o.table2.t_ave_analytic,
                         o.table2.t_ave_measured,
@@ -385,8 +385,8 @@ impl BatchReport {
                         s,
                         "{:<10} k={} {:<5} | {}",
                         r.spec.program,
-                        r.spec.k,
-                        r.spec.strategy.name(),
+                        r.spec.session.k,
+                        r.spec.session.strategy.name(),
                         e
                     );
                 }
@@ -400,8 +400,8 @@ fn job_label(r: &JobResult) -> String {
     format!(
         "{} k={} {}",
         r.spec.program,
-        r.spec.k,
-        r.spec.strategy.name()
+        r.spec.session.k,
+        r.spec.session.strategy.name()
     )
 }
 
@@ -414,9 +414,9 @@ pub fn job_json(r: &JobResult, include_timings: bool) -> String {
         s,
         "\"program\":\"{}\",\"k\":{},\"strategy\":\"{}\",\"seed\":{},\"status\":\"{}\"",
         json::escape(&r.spec.program),
-        r.spec.k,
-        r.spec.strategy.name(),
-        r.spec.seed,
+        r.spec.session.k,
+        r.spec.session.strategy.name(),
+        r.spec.session.seed,
         r.status()
     );
     match &r.outcome {
@@ -523,16 +523,16 @@ fn csv_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parmem_driver::{run_job, JobSpec};
+    use parmem_driver::{run_job, Session};
 
     fn tiny_report() -> BatchReport {
+        let session = Session::new(4);
         let specs = [
-            JobSpec::new(
+            session.job(
                 "A",
                 "program a; var i, s: int; begin s := 0; for i := 1 to 5 do s := s + i; print s; end.",
-                4,
             ),
-            JobSpec::new("B", "program broken(", 4),
+            session.job("B", "program broken("),
         ];
         BatchReport {
             results: specs.iter().map(run_job).collect(),
@@ -595,8 +595,9 @@ mod tests {
               for i := 0 to 11 do s := s + a[i];
               print s;
             end.";
-        let spec =
-            JobSpec::new("ARR", src, 4).with_array_policy(parmem_core::layout::ArrayPolicy::Hash);
+        let spec = Session::new(4)
+            .with_array_policy(parmem_core::layout::ArrayPolicy::Hash)
+            .job("ARR", src);
         let r = BatchReport {
             results: vec![run_job(&spec)],
             wall_ns: 1,

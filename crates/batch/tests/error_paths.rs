@@ -7,7 +7,7 @@
 //! real divergence and verifier failures have to be manufactured.
 
 use parmem_batch::{run_batch, BatchOptions, ErrorPolicy};
-use parmem_driver::{FaultInjection, JobError, JobSpec};
+use parmem_driver::{FaultInjection, JobError, JobSpec, Session};
 use parmem_exact::ExactConfig;
 use parmem_obs::StageKind;
 
@@ -15,7 +15,7 @@ const GOOD: &str = "program good; var i, s: int;
                     begin s := 1; for i := 1 to 9 do s := s + i * s; print s; end.";
 
 fn good(n: usize) -> JobSpec {
-    JobSpec::new(format!("GOOD{n}"), GOOD, 4)
+    Session::new(4).job(format!("GOOD{n}"), GOOD)
 }
 
 #[test]
@@ -24,7 +24,7 @@ fn panicking_job_is_isolated_from_the_batch() {
         // The exact-gap stage only exists on jobs that request it.
         let mut faulty = good(1).with_fault(FaultInjection::PanicInStage(stage));
         if stage == StageKind::ExactGap {
-            faulty = faulty.with_exact_gap(ExactConfig::default());
+            faulty.session.exact_gap = Some(ExactConfig::default());
         }
         let specs = vec![good(0), faulty, good(2)];
         let report = run_batch(
@@ -105,7 +105,7 @@ fn interpreter_divergence_is_a_structured_failure() {
 #[test]
 fn compile_error_fails_only_its_own_job() {
     let specs = vec![
-        JobSpec::new("BAD", "program bad; begin crash syntax", 4),
+        Session::new(4).job("BAD", "program bad; begin crash syntax"),
         good(1),
     ];
     let report = run_batch(specs, &BatchOptions::default());

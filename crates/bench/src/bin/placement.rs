@@ -27,7 +27,7 @@ use std::process::ExitCode;
 
 use parmem_bench::baseline_rows;
 use parmem_core::layout::ArrayPolicy;
-use parmem_driver::{run_job, JobSpec};
+use parmem_driver::Session;
 use parmem_lint::T_AVE_TOLERANCE;
 
 const KS: [usize; 2] = [4, 8];
@@ -66,8 +66,9 @@ fn measure() -> Vec<Row> {
     for b in workloads::benchmarks() {
         for k in KS {
             for policy in ArrayPolicy::CONCRETE {
-                let spec = JobSpec::new(b.name, b.source, k).with_array_policy(policy);
-                let out = run_job(&spec)
+                let out = Session::new(k)
+                    .with_array_policy(policy)
+                    .run(b.name, b.source)
                     .outcome
                     .unwrap_or_else(|e| panic!("{} k={k} {}: {e}", b.name, policy.name()));
                 let planned = out

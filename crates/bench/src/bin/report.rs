@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use parmem_bench::BenchConfig;
+use parmem_bench::bench_session;
 use parmem_core::assignment::AssignParams;
 use parmem_core::strategies::{run_strategy, Strategy};
 use parmem_core::synth::regional_pressure_trace;
@@ -36,7 +36,7 @@ fn main() {
     write!(
         w,
         "{}",
-        parmem_bench::format_table1(&parmem_bench::table1_with(BenchConfig::unrolled(8, 4)))
+        parmem_bench::format_table1(&parmem_bench::table1_with(&bench_session(8).with_unroll(4)))
     )
     .unwrap();
     writeln!(w, "```\n").unwrap();
@@ -87,14 +87,16 @@ fn main() {
     write!(
         w,
         "{}",
-        parmem_bench::format_speedup(&parmem_bench::speedup_with(BenchConfig::new(8)))
+        parmem_bench::format_speedup(&parmem_bench::speedup_with(&bench_session(8)))
     )
     .unwrap();
     writeln!(w, "```\n\nInnermost loops unrolled x4:\n```").unwrap();
     write!(
         w,
         "{}",
-        parmem_bench::format_speedup(&parmem_bench::speedup_with(BenchConfig::unrolled(8, 4)))
+        parmem_bench::format_speedup(&parmem_bench::speedup_with(
+            &bench_session(8).with_unroll(4)
+        ))
     )
     .unwrap();
     writeln!(w, "```").unwrap();

@@ -7,7 +7,7 @@
 //!
 //! Usage: `cargo run -p parmem-bench --bin speedup [-- <modules>]`
 
-use parmem_bench::BenchConfig;
+use parmem_bench::bench_session;
 
 fn main() {
     let k = std::env::args()
@@ -18,11 +18,13 @@ fn main() {
     println!("--- per-block schedule (no unrolling) ---");
     print!(
         "{}",
-        parmem_bench::format_speedup(&parmem_bench::speedup_with(BenchConfig::new(k)))
+        parmem_bench::format_speedup(&parmem_bench::speedup_with(&bench_session(k)))
     );
     println!("\n--- innermost loops unrolled x4 ---");
     print!(
         "{}",
-        parmem_bench::format_speedup(&parmem_bench::speedup_with(BenchConfig::unrolled(k, 4)))
+        parmem_bench::format_speedup(&parmem_bench::speedup_with(
+            &bench_session(k).with_unroll(4)
+        ))
     );
 }

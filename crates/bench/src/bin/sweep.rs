@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run --release -p parmem-bench --bin sweep [-- csv]`
 
-use parmem_bench::{bench_session, BenchConfig};
+use parmem_bench::bench_session;
 use rliw_sim::ArrayPlacement;
 
 fn main() {
@@ -21,12 +21,11 @@ fn main() {
     for b in workloads::benchmarks() {
         for k in [2usize, 4, 8, 16] {
             for unroll in [1usize, 4] {
-                let cfg = if unroll == 1 {
-                    BenchConfig::new(k)
+                let session = if unroll == 1 {
+                    bench_session(k)
                 } else {
-                    BenchConfig::unrolled(k, unroll)
+                    bench_session(k).with_unroll(unroll)
                 };
-                let session = bench_session(cfg);
                 let prog = session.compile(b.source).expect("benchmark compiles");
                 let (a, r) = session.assign(&prog);
                 let run = session

@@ -20,77 +20,27 @@
 //! concurrently with results merged back in submission order, so the
 //! rendered tables are byte-identical to the old serial harness.
 
-use liw_ir::unroll::UnrollConfig;
-use parmem_batch::BatchOptions;
+use parmem_batch::{sweep_jobs, BatchOptions};
 use parmem_core::strategies::Strategy;
-use parmem_driver::{JobOutput, JobResult, JobSpec, Session};
+use parmem_driver::{JobOutput, JobResult, Session};
 use parmem_obs::json::{self, Json};
-use rliw_sim::pipeline::{CompiledProgram, Table2Row};
-use rliw_sim::CompileOptions;
+use rliw_sim::pipeline::Table2Row;
 use workloads::benchmarks;
 
-/// Shared harness configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct BenchConfig {
-    /// Memory modules (= functional units).
-    pub modules: usize,
-    /// Innermost-loop unrolling factor applied before scheduling
-    /// (`None` = no unrolling). The paper's compiler achieved comparable
-    /// instruction-word density via trace scheduling.
-    pub unroll: Option<usize>,
+/// The harness's driver session for `k` memory modules (= functional
+/// units): no scalar optimizer (the tables measure the paper's pipeline as
+/// scheduled), renaming on, no unrolling. The unrolled configurations add
+/// [`Session::with_unroll`]: the paper's compiler achieved comparable
+/// instruction-word density via trace scheduling.
+pub fn bench_session(k: usize) -> Session {
+    Session::new(k).without_optimizer()
 }
 
-impl BenchConfig {
-    pub fn new(modules: usize) -> BenchConfig {
-        BenchConfig {
-            modules,
-            unroll: None,
-        }
-    }
-
-    pub fn unrolled(modules: usize, factor: usize) -> BenchConfig {
-        BenchConfig {
-            modules,
-            unroll: Some(factor),
-        }
-    }
-}
-
-/// The driver session matching a harness configuration: no scalar optimizer
-/// (the tables measure the paper's pipeline as scheduled), renaming on,
-/// unrolled when the configuration says so.
-pub fn bench_session(cfg: BenchConfig) -> Session {
-    Session::new(cfg.modules).with_opts(compile_options(cfg))
-}
-
-/// Compile one benchmark under a harness configuration.
-pub fn compile_bench(source: &str, cfg: BenchConfig) -> CompiledProgram {
-    bench_session(cfg)
-        .compile(source)
-        .expect("benchmark compiles")
-}
-
-/// The front-end options behind [`bench_session`].
-fn compile_options(cfg: BenchConfig) -> CompileOptions {
-    CompileOptions {
-        unroll: cfg.unroll.map(|factor| UnrollConfig {
-            factor,
-            max_body_stmts: 16,
-        }),
-        optimize: false,
-        rename: true,
-    }
-}
-
-/// Run one batch-engine job per benchmark under `cfg` and hand each
+/// Run one batch-engine job per benchmark under `session` and hand each
 /// successful output to `f`, panicking (like the old serial harness) on any
 /// structured job failure.
-fn batch_rows<R>(cfg: BenchConfig, f: impl Fn(&JobResult, &JobOutput) -> R) -> Vec<R> {
-    let opts = compile_options(cfg);
-    let specs: Vec<JobSpec> = benchmarks()
-        .iter()
-        .map(|b| JobSpec::new(b.name, b.source, cfg.modules).with_opts(opts))
-        .collect();
+fn batch_rows<R>(session: &Session, f: impl Fn(&JobResult, &JobOutput) -> R) -> Vec<R> {
+    let specs = sweep_jobs(&benchmarks(), &[session.k], &[Strategy::Stor1], session);
     let report = parmem_batch::run_batch(specs, &BatchOptions::default());
     report
         .results
@@ -134,24 +84,14 @@ fn cell(r: &JobResult) -> Table1Cell {
 /// Regenerate Table 1 for a machine with `k` memory modules (the paper used
 /// eight).
 pub fn table1(k: usize) -> Vec<Table1Row> {
-    table1_with(BenchConfig::new(k))
+    table1_with(&bench_session(k))
 }
 
-/// Table 1 under an explicit harness configuration: one batch job per
+/// Table 1 under an explicit harness session: one batch job per
 /// benchmark × strategy (18 jobs), regrouped into rows afterwards.
-pub fn table1_with(cfg: BenchConfig) -> Vec<Table1Row> {
+pub fn table1_with(session: &Session) -> Vec<Table1Row> {
     const STRATEGIES: [Strategy; 3] = [Strategy::Stor1, Strategy::Stor2, Strategy::STOR3];
-    let opts = compile_options(cfg);
-    let specs: Vec<JobSpec> = benchmarks()
-        .iter()
-        .flat_map(|b| {
-            STRATEGIES.map(|s| {
-                JobSpec::new(b.name, b.source, cfg.modules)
-                    .with_opts(opts)
-                    .with_strategy(s)
-            })
-        })
-        .collect();
+    let specs = sweep_jobs(&benchmarks(), &[session.k], &STRATEGIES, session);
     let report = parmem_batch::run_batch(specs, &BatchOptions::default());
     report
         .results
@@ -196,14 +136,14 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
 
 /// Regenerate Table 2 for a machine with `k` modules.
 pub fn table2(k: usize) -> Vec<Table2Row> {
-    table2_with(BenchConfig::new(k))
+    table2_with(&bench_session(k))
 }
 
-/// Table 2 under an explicit harness configuration (one batch job per
+/// Table 2 under an explicit harness session (one batch job per
 /// benchmark; the engine already fails jobs whose scalar assignment keeps
 /// residual conflicts).
-pub fn table2_with(cfg: BenchConfig) -> Vec<Table2Row> {
-    batch_rows(cfg, |r, out| {
+pub fn table2_with(session: &Session) -> Vec<Table2Row> {
+    batch_rows(session, |r, out| {
         assert_eq!(
             out.assign_report.residual_conflicts, 0,
             "{}: scalar assignment must be conflict-free",
@@ -256,14 +196,14 @@ pub struct SpeedupRow {
 
 /// Run the speed-up experiment for all benchmarks at width/modules `k`.
 pub fn speedup(k: usize) -> Vec<SpeedupRow> {
-    speedup_with(BenchConfig::unrolled(k, 4))
+    speedup_with(&bench_session(k).with_unroll(4))
 }
 
-/// Speed-up rows under an explicit harness configuration. The batch job
+/// Speed-up rows under an explicit harness session. The batch job
 /// already simulated every array placement, so the conflict overhead is
 /// `t_interleaved / t_min - 1` straight from its Table 2 measurements.
-pub fn speedup_with(cfg: BenchConfig) -> Vec<SpeedupRow> {
-    batch_rows(cfg, |r, out| {
+pub fn speedup_with(session: &Session) -> Vec<SpeedupRow> {
+    batch_rows(session, |r, out| {
         let overhead = if out.table2.t_min > 0 {
             out.table2.t_interleaved as f64 / out.table2.t_min as f64 - 1.0
         } else {

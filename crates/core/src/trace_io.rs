@@ -7,11 +7,15 @@
 //! modules 3
 //! x y t1        # one instruction per line: its operand names
 //! y z t2
+//! -             # an instruction without operands
 //! y z t1
 //! ```
 //!
 //! Operand names are arbitrary identifiers; they are interned to dense
-//! [`ValueId`]s in first-appearance order.
+//! [`ValueId`]s in first-appearance order. Blank lines are skipped, so an
+//! instruction that reads no value is written as a line holding only `-`:
+//! a trace read back keeps every instruction, and with it the instruction
+//! numbers diagnostics name.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -101,6 +105,10 @@ pub fn parse_trace(text: &str) -> Result<NamedTrace, TraceParseError> {
             }
             continue;
         }
+        if tokens == ["-"] {
+            instructions.push(std::iter::empty());
+            continue;
+        }
         instructions.push(tokens.iter().map(|t| {
             let next = names.len() as u32;
             let id = *ids.entry(t.to_string()).or_insert_with(|| {
@@ -122,10 +130,14 @@ pub fn parse_trace(text: &str) -> Result<NamedTrace, TraceParseError> {
 }
 
 /// Serialize a trace back to the text format (canonical names `V<i>` when no
-/// name table is given).
+/// name table is given, `-` for an instruction without operands).
 pub fn format_trace(trace: &AccessTrace, names: Option<&[String]>) -> String {
     let mut out = format!("modules {}\n", trace.modules);
     for inst in &trace.instructions {
+        if inst.is_empty() {
+            out.push_str("-\n");
+            continue;
+        }
         let line: Vec<String> = inst
             .iter()
             .map(|v| match names {
@@ -186,9 +198,11 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let src = "modules 4\na b c\nc d\n";
+        let src = "modules 4\na b c\n-\nc d\n";
         let t = parse_trace(src).unwrap();
+        assert!(t.trace.instructions[1].is_empty());
         let printed = format_trace(&t.trace, Some(&t.names));
+        assert_eq!(printed, src);
         let t2 = parse_trace(&printed).unwrap();
         assert_eq!(t.trace.instructions, t2.trace.instructions);
         assert_eq!(t.names, t2.names);

@@ -9,14 +9,15 @@
 //! `--trace-summary`) are accepted everywhere without per-command plumbing.
 //!
 //! The module also hosts the option → pipeline-config builders
-//! ([`compile_options`], [`assign_params`], [`strategy`], [`k_list`],
+//! ([`session`], [`assign_params`], [`strategy`], [`k_list`],
 //! [`module_count`], [`exact_config`], [`resolve_program`]) that were
 //! previously duplicated across subcommands.
 
 use parmem_core::assignment::{AssignParams, DuplicationStrategy};
 use parmem_core::strategies::Strategy;
 use parmem_core::types::MAX_MODULES;
-use rliw_sim::pipeline::CompileOptions;
+
+use crate::session::Session;
 
 /// Boolean flags every subcommand accepts (profiling plumbing).
 const COMMON_FLAGS: &[&str] = &["--profile"];
@@ -140,23 +141,29 @@ impl CommonArgs {
 /// Largest `--unroll` factor, the bound `parmem serve` also enforces.
 const MAX_UNROLL: usize = 64;
 
-/// Front-end options from the uniform `--unroll <factor>` / `--no-opt`
-/// flags.
-pub fn compile_options(a: &CommonArgs) -> Result<CompileOptions, String> {
-    let unroll = a.parsed::<usize>("--unroll")?;
-    if let Some(factor) = unroll.filter(|&f| f > MAX_UNROLL) {
-        return Err(format!(
-            "--unroll {factor} is above the cap of {MAX_UNROLL}"
-        ));
+/// The session a pipeline-running subcommand runs: `k` modules plus the
+/// uniform `--unroll <factor>`, `--no-opt`, `--backtrack`, `--no-atoms`,
+/// `--seed` and `--array-policy` options, each at its [`Session::new`]
+/// default where absent. `--stor` is left to the subcommand, since
+/// `batch --stor all` names a list of strategies.
+pub fn session(a: &CommonArgs, k: usize) -> Result<Session, String> {
+    let mut s = Session::new(k).with_params(assign_params(a));
+    if let Some(factor) = a.parsed::<usize>("--unroll")? {
+        if factor > MAX_UNROLL {
+            return Err(format!(
+                "--unroll {factor} is above the cap of {MAX_UNROLL}"
+            ));
+        }
+        s = s.with_unroll(factor);
     }
-    Ok(CompileOptions {
-        unroll: unroll.map(|factor| liw_ir::unroll::UnrollConfig {
-            factor,
-            max_body_stmts: 16,
-        }),
-        optimize: !a.flag("--no-opt"),
-        rename: true,
-    })
+    if a.flag("--no-opt") {
+        s = s.without_optimizer();
+    }
+    if let Some(seed) = a.parsed("--seed")? {
+        s = s.with_seed(seed);
+    }
+    s.array_policy = array_policy(a)?;
+    Ok(s)
 }
 
 /// Assignment parameters from the uniform `--backtrack` / `--no-atoms`
@@ -381,11 +388,10 @@ mod tests {
             &["--unroll", "--stor"],
         )
         .unwrap();
-        let params = assign_params(&a);
-        assert_eq!(params.duplication, DuplicationStrategy::Backtrack);
-        let opts = compile_options(&a).unwrap();
-        assert!(!opts.optimize);
-        assert_eq!(opts.unroll.map(|u| u.factor), Some(2));
+        let s = session(&a, 4).unwrap();
+        assert_eq!(s.params.duplication, DuplicationStrategy::Backtrack);
+        assert!(!s.opts.optimize);
+        assert_eq!(s.opts.unroll.map(|u| u.factor), Some(2));
         assert_eq!(strategy(&a).unwrap(), Strategy::STOR3);
     }
 }

@@ -1,5 +1,5 @@
 //! One pipeline job: the full compile → assign → verify → simulate pipeline
-//! over a single `(program, k, strategy)` triple, run stage by stage by a
+//! over one program under one [`Session`], run stage by stage by a
 //! [`PipelineContext`] with per-stage metrics, structured per-stage failure,
 //! and panic isolation.
 //!
@@ -7,116 +7,48 @@
 //! batch engine, the bench bins, and the integration tests all come through
 //! [`run_job`] / [`PipelineContext`] (usually via [`Session`]) rather than
 //! wiring `frontend → optimize → schedule → …` themselves.
-//!
-//! [`Session`]: crate::session::Session
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use liw_sched::MachineSpec;
-use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
-use parmem_core::layout::ArrayPolicy;
-use parmem_core::strategies::Strategy;
+use parmem_core::assignment::{Assignment, AssignmentReport};
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet};
 use parmem_obs::digest::Fnv1a;
 use parmem_obs::{JobMetrics, StageKind, StageTimer};
 use parmem_verify::{PendingReport, VerifyReport};
-use rliw_sim::pipeline::{self, CompileOptions, Table2Row};
+use rliw_sim::pipeline::{self, Table2Row};
 
-/// One unit of pipeline work: compile `source` for a `k`-module machine,
-/// assign with `strategy`, verify, and simulate.
+use crate::session::Session;
+
+/// One unit of pipeline work: compile `source` under `session`'s
+/// configuration, assign, verify, and simulate. Mint one with
+/// [`Session::job`].
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Display name (e.g. the paper benchmark name).
     pub program: String,
     /// MiniLang source. `Arc` so a spec clones cheaply across k-sweeps.
     pub source: Arc<str>,
-    /// Memory modules / machine width.
-    pub k: usize,
-    /// Storage-allocation strategy.
-    pub strategy: Strategy,
-    /// Front-end options.
-    pub opts: CompileOptions,
-    /// Assignment tunables.
-    pub params: AssignParams,
-    /// Seed for the uniform-random array placement of the Table 2 run.
-    pub seed: u64,
+    /// Every knob of the job: `k`, strategy, compile options, assignment
+    /// parameters, placement seed, exact-gap stage and array policy.
+    pub session: Session,
     /// Test-only fault injection; `None` in production use.
     pub fault: Option<FaultInjection>,
-    /// When set, run the exact solver on the access trace as an extra stage
-    /// and report the heuristic-vs-exact gap.
-    pub exact_gap: Option<parmem_exact::ExactConfig>,
-    /// When set, plan a compile-time [`parmem_core::layout::MemoryLayout`]
-    /// under this policy, verify it (PM301–PM303), and simulate it as a
-    /// fifth array policy.
-    pub array_policy: Option<ArrayPolicy>,
     /// Pre-computed front-end TAC for this (source, unroll) pair. When set
     /// the frontend stage clones it instead of re-parsing — parmem-serve's
     /// intermediate cache threads hits through here. Correctness contract:
-    /// the TAC must equal `pipeline::frontend(&source, &opts)` output (the
-    /// front end depends on the source and `opts.unroll` only, never on
-    /// `k`/strategy/optimizer, so one TAC serves every machine size).
+    /// the TAC must equal `pipeline::frontend(&source, &session.opts)`
+    /// output (the front end depends on the source and `opts.unroll` only,
+    /// never on `k`/strategy/optimizer, so one TAC serves every machine
+    /// size).
     pub frontend_tac: Option<Arc<liw_ir::TacProgram>>,
 }
 
 impl JobSpec {
-    /// A spec with default strategy (STOR1), options, params, and seed.
-    pub fn new(program: impl Into<String>, source: impl Into<Arc<str>>, k: usize) -> JobSpec {
-        JobSpec {
-            program: program.into(),
-            source: source.into(),
-            k,
-            strategy: Strategy::Stor1,
-            opts: CompileOptions::default(),
-            params: AssignParams::default(),
-            seed: 0xC0FFEE,
-            fault: None,
-            exact_gap: None,
-            array_policy: None,
-            frontend_tac: None,
-        }
-    }
-
-    /// Replace the strategy.
-    pub fn with_strategy(mut self, s: Strategy) -> JobSpec {
-        self.strategy = s;
-        self
-    }
-
-    /// Replace the front-end options.
-    pub fn with_opts(mut self, opts: CompileOptions) -> JobSpec {
-        self.opts = opts;
-        self
-    }
-
-    /// Replace the assignment parameters.
-    pub fn with_params(mut self, params: AssignParams) -> JobSpec {
-        self.params = params;
-        self
-    }
-
-    /// Replace the random-placement seed.
-    pub fn with_seed(mut self, seed: u64) -> JobSpec {
-        self.seed = seed;
-        self
-    }
-
     /// Inject a fault (tests of the error paths only).
     pub fn with_fault(mut self, fault: FaultInjection) -> JobSpec {
         self.fault = Some(fault);
-        self
-    }
-
-    /// Enable the exact-gap stage with the given solver config.
-    pub fn with_exact_gap(mut self, cfg: parmem_exact::ExactConfig) -> JobSpec {
-        self.exact_gap = Some(cfg);
-        self
-    }
-
-    /// Plan, verify, and simulate a compile-time array placement under
-    /// `policy`.
-    pub fn with_array_policy(mut self, policy: ArrayPolicy) -> JobSpec {
-        self.array_policy = Some(policy);
         self
     }
 
@@ -360,7 +292,7 @@ fn maybe_panic(spec: &JobSpec, stage: StageKind) {
     if spec.fault == Some(FaultInjection::PanicInStage(stage)) {
         panic!(
             "injected panic in stage `{stage}` of job `{}` (k={})",
-            spec.program, spec.k
+            spec.program, spec.session.k
         );
     }
 }
@@ -440,12 +372,12 @@ impl<'a> PipelineContext<'a> {
     pub fn begin(spec: &'a JobSpec, metrics: &'a mut JobMetrics) -> PipelineContext<'a> {
         let mut job_span = parmem_obs::span("job");
         job_span.attr("program", spec.program.as_str());
-        job_span.attr("k", spec.k);
-        job_span.attr("stor", spec.strategy.name());
+        job_span.attr("k", spec.session.k);
+        job_span.attr("stor", spec.session.strategy.name());
         PipelineContext {
             spec,
             metrics,
-            mach: MachineSpec::with_modules(spec.k),
+            mach: spec.session.machine(),
             _job_span: job_span,
             tac: None,
             sched: None,
@@ -473,7 +405,7 @@ impl<'a> PipelineContext<'a> {
             let _sp = parmem_obs::span(StageKind::Frontend.span_name());
             match &self.spec.frontend_tac {
                 Some(cached) => (**cached).clone(),
-                None => pipeline::frontend(&self.spec.source, &self.spec.opts)
+                None => pipeline::frontend(&self.spec.source, &self.spec.session.opts)
                     .map_err(|e| JobError::Compile(e.to_string()))?,
             }
         };
@@ -491,7 +423,7 @@ impl<'a> PipelineContext<'a> {
             pipeline::optimize_stage(
                 self.tac.as_ref().expect("frontend ran"),
                 self.mach,
-                &self.spec.opts,
+                &self.spec.session.opts,
             )
         };
         self.metrics.push(StageKind::Optimize, t.stop());
@@ -507,7 +439,7 @@ impl<'a> PipelineContext<'a> {
             pipeline::schedule_stage(
                 self.tac.as_ref().expect("frontend ran"),
                 self.mach,
-                &self.spec.opts,
+                &self.spec.session.opts,
             )
         };
         self.metrics.push(StageKind::Schedule, t.stop());
@@ -523,7 +455,7 @@ impl<'a> PipelineContext<'a> {
         let t = StageTimer::start();
         let (mut assignment, assign_report) = {
             let _sp = parmem_obs::span(StageKind::Assign.span_name());
-            pipeline::assign(sched, self.spec.strategy, &self.spec.params)
+            pipeline::assign(sched, self.spec.session.strategy, &self.spec.session.params)
         };
         self.metrics.push(StageKind::Assign, t.stop());
         if assign_report.residual_conflicts > 0 {
@@ -606,13 +538,13 @@ impl<'a> PipelineContext<'a> {
         let _sim_span = parmem_obs::span(StageKind::Simulate.span_name());
 
         // Fifth policy: the compile-time plan, verified before it runs.
-        let layout = match self.spec.array_policy {
+        let layout = match self.spec.session.array_policy {
             None => None,
             Some(policy) => {
                 let profiles =
                     parmem_lint::array_stride_profiles(self.tac.as_ref().expect("frontend ran"));
                 let layout = Arc::new(parmem_core::layout::plan(
-                    self.spec.k,
+                    self.spec.session.k,
                     policy,
                     assignment.clone(),
                     &profiles,
@@ -628,7 +560,7 @@ impl<'a> PipelineContext<'a> {
             &self.spec.program,
             sched,
             assignment,
-            self.spec.seed,
+            self.spec.session.seed,
             layout.clone(),
         )
         .map_err(|e| JobError::Sim(e.to_string()))?;
@@ -682,7 +614,7 @@ impl<'a> PipelineContext<'a> {
     /// Optional stage 8: exact-solver gap measurement, when the spec asked
     /// for it.
     pub fn exact_gap(&mut self) -> Result<(), JobError> {
-        let Some(cfg) = &self.spec.exact_gap else {
+        let Some(cfg) = &self.spec.session.exact_gap else {
             return Ok(());
         };
         maybe_panic(self.spec, StageKind::ExactGap);
@@ -743,7 +675,7 @@ mod tests {
 
     #[test]
     fn clean_job_produces_output_and_metrics() {
-        let r = run_job(&JobSpec::new("J", SRC, 4));
+        let r = run_job(&Session::new(4).job("J", SRC));
         assert_eq!(r.status(), "ok");
         let out = r.outcome.expect("job succeeds");
         assert_eq!(out.assign_report.residual_conflicts, 0);
@@ -761,7 +693,7 @@ mod tests {
         // the verified one: only PM008's comparison can notice, and it does
         // so once the program has run, after the reference stage, under a
         // span of the simulate stage that counts its finding.
-        let spec = JobSpec::new("PM008-ALONE", SRC, 4);
+        let spec = Session::new(4).job("PM008-ALONE", SRC);
         let mut metrics = JobMetrics::default();
         parmem_obs::set_enabled(true);
         let mut cx = PipelineContext::begin(&spec, &mut metrics);
@@ -809,7 +741,9 @@ mod tests {
 
     #[test]
     fn exact_gap_stage_runs_and_validates() {
-        let spec = JobSpec::new("J", SRC, 4).with_exact_gap(parmem_exact::ExactConfig::default());
+        let spec = Session::new(4)
+            .with_exact_gap(parmem_exact::ExactConfig::default())
+            .job("J", SRC);
         let r = run_job(&spec);
         assert_eq!(r.status(), "ok");
         let out = r.outcome.expect("job succeeds");
@@ -831,9 +765,12 @@ mod tests {
 
     #[test]
     fn planned_policy_adds_summary_without_touching_table2() {
-        let base = run_job(&JobSpec::new("J", ARRAY_SRC, 4));
-        let planned =
-            run_job(&JobSpec::new("J", ARRAY_SRC, 4).with_array_policy(ArrayPolicy::Interleaved));
+        let base = run_job(&Session::new(4).job("J", ARRAY_SRC));
+        let planned = run_job(
+            &Session::new(4)
+                .with_array_policy(parmem_core::layout::ArrayPolicy::Interleaved)
+                .job("J", ARRAY_SRC),
+        );
         let b = base.outcome.expect("base ok");
         let p = planned.outcome.expect("planned ok");
         assert!(b.planned.is_none());
@@ -852,8 +789,8 @@ mod tests {
 
     #[test]
     fn cached_frontend_tac_reproduces_uncached_output() {
-        let spec = JobSpec::new("J", ARRAY_SRC, 4);
-        let tac = rliw_sim::pipeline::frontend(&spec.source, &spec.opts).unwrap();
+        let spec = Session::new(4).job("J", ARRAY_SRC);
+        let tac = rliw_sim::pipeline::frontend(&spec.source, &spec.session.opts).unwrap();
         let cached = run_job(&spec.clone().with_frontend_tac(Arc::new(tac)));
         let direct = run_job(&spec);
         let c = cached.outcome.expect("cached ok");
@@ -865,7 +802,7 @@ mod tests {
 
     #[test]
     fn compile_error_is_structured() {
-        let r = run_job(&JobSpec::new("BAD", "program oops begin end", 4));
+        let r = run_job(&Session::new(4).job("BAD", "program oops begin end"));
         match r.outcome {
             Err(JobError::Compile(_)) => assert_eq!(r.status(), "compile-error"),
             other => panic!("expected compile error, got {other:?}"),

@@ -11,7 +11,8 @@
 //!
 //! * [`Session`] owns the shared configuration (module count, storage
 //!   strategy, compile options, assignment parameters, seeds, optional
-//!   exact-gap stage) and mints [`JobSpec`]s or runs programs directly;
+//!   exact-gap stage, array policy) and mints [`JobSpec`]s, which carry
+//!   it, or runs programs directly;
 //! * [`PipelineContext`] executes the stages one at a time, applying fault
 //!   injection, per-stage wall/alloc metrics, and obs span wrapping in
 //!   exactly one place — [`run_job`] adds panic isolation on top;
@@ -36,5 +37,5 @@ pub use job::{
     hash_output, run_job, run_stages, FaultInjection, GapSummary, JobError, JobOutput, JobResult,
     JobSpec, PipelineContext, PlannedSummary,
 };
-pub use session::Session;
+pub use session::{Session, DEFAULT_SEED};
 pub use telemetry::{TelemetryConfig, TelemetryGuard};

@@ -15,6 +15,7 @@
 //! ```
 
 use liw_ir::tac::TacProgram;
+use liw_ir::unroll::UnrollConfig;
 use liw_sched::MachineSpec;
 use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
 use parmem_core::layout::{ArrayPolicy, MemoryLayout};
@@ -26,9 +27,15 @@ use rliw_sim::ArrayPlacement;
 
 use crate::job::{run_job, JobResult, JobSpec};
 
+/// The placement seed of [`Session::new`], and so of every CLI subcommand
+/// and serve request that names no `seed`.
+pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+
 /// Pipeline configuration shared by every job a caller mints: module count,
 /// storage strategy, front-end options, assignment tunables, placement
-/// seed, and the optional exact-gap stage.
+/// seed, and the optional exact-gap stage. No other type declares these
+/// knobs: a [`JobSpec`], a serve request and the exact and lint job specs
+/// each carry a `Session`.
 #[derive(Clone, Debug)]
 pub struct Session {
     /// Memory modules / machine width.
@@ -58,7 +65,7 @@ impl Session {
             strategy: Strategy::Stor1,
             opts: CompileOptions::default(),
             params: AssignParams::default(),
-            seed: 0xC0FFEE,
+            seed: DEFAULT_SEED,
             exact_gap: None,
             array_policy: None,
         }
@@ -76,9 +83,19 @@ impl Session {
         self
     }
 
-    /// Disable the scalar optimizer, matching the plain
-    /// `rliw_sim::pipeline::compile` entry point (frontend → schedule with
-    /// renaming, no value numbering / DCE pass).
+    /// Unroll innermost loops `factor` times, leaving loops whose body has
+    /// more than 16 statements alone: what the CLI's `--unroll`, serve's
+    /// `unroll` member and the bench harness all mean.
+    pub fn with_unroll(mut self, factor: usize) -> Session {
+        self.opts.unroll = Some(UnrollConfig {
+            factor,
+            max_body_stmts: 16,
+        });
+        self
+    }
+
+    /// Disable the scalar optimizer (frontend → schedule with renaming, no
+    /// value numbering / DCE pass).
     pub fn without_optimizer(mut self) -> Session {
         self.opts.optimize = false;
         self
@@ -176,18 +193,13 @@ impl Session {
         program: impl Into<String>,
         source: impl Into<std::sync::Arc<str>>,
     ) -> JobSpec {
-        let mut spec = JobSpec::new(program, source, self.k)
-            .with_strategy(self.strategy)
-            .with_opts(self.opts)
-            .with_params(self.params)
-            .with_seed(self.seed);
-        if let Some(cfg) = self.exact_gap {
-            spec = spec.with_exact_gap(cfg);
+        JobSpec {
+            program: program.into(),
+            source: source.into(),
+            session: self.clone(),
+            fault: None,
+            frontend_tac: None,
         }
-        if let Some(policy) = self.array_policy {
-            spec = spec.with_array_policy(policy);
-        }
-        spec
     }
 
     /// Run the full staged pipeline (compile → assign → verify → simulate
@@ -320,18 +332,6 @@ impl Session {
     ) -> Result<VerifiedRun, PipelineError> {
         rliw_sim::pipeline::verified_run(prog, assignment, policy)
     }
-
-    /// Compile, assign, and run verified under `policy` in one call.
-    pub fn quick_run(
-        &self,
-        source: &str,
-        policy: ArrayPlacement,
-    ) -> Result<(VerifiedRun, AssignmentReport), PipelineError> {
-        let prog = self.compile(source)?;
-        let (assignment, report) = self.assign(&prog);
-        let run = self.verified_run(&prog, &assignment, policy)?;
-        Ok((run, report))
-    }
 }
 
 #[cfg(test)]
@@ -350,8 +350,8 @@ mod tests {
         let s = Session::new(4);
         let r = s.run("S", SRC);
         assert_eq!(r.status(), "ok");
-        assert_eq!(r.spec.k, 4);
-        assert_eq!(r.spec.strategy, Strategy::Stor1);
+        assert_eq!(r.spec.session.k, 4);
+        assert_eq!(r.spec.session.strategy, Strategy::Stor1);
     }
 
     #[test]
@@ -407,7 +407,7 @@ mod tests {
                 .config_digest()
         );
         let mut unrolled = base.clone();
-        unrolled.opts.unroll = Some(liw_ir::unroll::UnrollConfig {
+        unrolled.opts.unroll = Some(UnrollConfig {
             factor: 2,
             max_body_stmts: 40,
         });
@@ -509,9 +509,9 @@ mod tests {
             .with_seed(42)
             .with_exact_gap(parmem_exact::ExactConfig::default());
         let spec = s.job("X", SRC);
-        assert_eq!(spec.k, 8);
-        assert_eq!(spec.strategy, Strategy::Stor2);
-        assert_eq!(spec.seed, 42);
-        assert!(spec.exact_gap.is_some());
+        assert_eq!(spec.session.k, 8);
+        assert_eq!(spec.session.strategy, Strategy::Stor2);
+        assert_eq!(spec.session.seed, 42);
+        assert!(spec.session.exact_gap.is_some());
     }
 }

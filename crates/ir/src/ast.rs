@@ -140,14 +140,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Comparison operators produce `bool` regardless of operand type.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// `and` / `or`.
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or)

@@ -188,36 +188,6 @@ pub enum OpCode {
 }
 
 impl OpCode {
-    /// Whether this opcode takes two source operands.
-    pub fn is_binary(self) -> bool {
-        use OpCode::*;
-        matches!(
-            self,
-            Add | Sub
-                | Mul
-                | IDiv
-                | Mod
-                | FAdd
-                | FSub
-                | FMul
-                | FDiv
-                | Eq
-                | Ne
-                | Lt
-                | Le
-                | Gt
-                | Ge
-                | FEq
-                | FNe
-                | FLt
-                | FLe
-                | FGt
-                | FGe
-                | And
-                | Or
-        )
-    }
-
     /// Result type of the opcode.
     pub fn result_ty(self) -> Ty {
         use OpCode::*;

@@ -487,12 +487,15 @@ fn replay(body: String, etag: String, verdict: &str, if_none_match: Option<&str>
 /// cannot buy unbounded solver time. Runs before cache-key derivation so
 /// the clamped request is what gets addressed.
 fn clamp_budgets(api: &mut ApiRequest, config: &ServeConfig) {
-    api.exact.budget_nodes = api.exact.budget_nodes.min(config.max_budget_nodes);
+    let Some(exact) = &mut api.session.exact_gap else {
+        return;
+    };
+    exact.budget_nodes = exact.budget_nodes.min(config.max_budget_nodes);
     if config.max_budget_ms > 0 {
-        api.exact.budget_ms = if api.exact.budget_ms == 0 {
+        exact.budget_ms = if exact.budget_ms == 0 {
             config.max_budget_ms
         } else {
-            api.exact.budget_ms.min(config.max_budget_ms)
+            exact.budget_ms.min(config.max_budget_ms)
         };
     }
 }
@@ -534,10 +537,10 @@ fn compile_via_cache(
 }
 
 fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, (u16, String)> {
-    let session = api.session();
+    let session = &api.session;
     let (trace, assignment, report) = match &api.source {
         Source::Text(src) => {
-            let prog = compile_via_cache(&session, inter, src)?;
+            let prog = compile_via_cache(session, inter, src)?;
             let trace = prog.sched.access_trace();
             let (assignment, report) = session.assign(&prog);
             (trace, assignment, report)
@@ -545,7 +548,7 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
         Source::Synth(spec) => {
             // Mirrors `parmem synth --assign`: the strategy knob does not
             // apply to a raw trace; the Fig. 2 pipeline runs directly.
-            let trace = scale_trace(spec, api.seed);
+            let trace = scale_trace(spec, session.seed);
             let (assignment, report) = assign_trace(&trace, &session.params);
             (trace, assignment, report)
         }
@@ -565,9 +568,9 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
          \"atoms\":{},\"residual_conflicts\":{},\"repair_copies\":{},\
          \"assignment_digest\":\"{:016x}\"}}",
         json::escape(&api.program),
-        api.k,
-        api.strategy.name(),
-        api.seed,
+        session.k,
+        session.strategy.name(),
+        session.seed,
         trace.instructions.len(),
         values.len(),
         report.single_copy,
@@ -583,9 +586,9 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
 
 fn compute_compile(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, (u16, String)> {
     let src = source_text(api)?;
-    let session = api.session();
+    let session = &api.session;
     let tac = inter
-        .frontend(&session, src)
+        .frontend(session, src)
         .map_err(|e| (422, e.to_string()))?;
     let spec = session
         .job(api.program.clone(), src.to_string())
@@ -602,17 +605,18 @@ fn compute_compile(api: &ApiRequest, inter: &IntermediateCache) -> Result<String
 
 fn compute_exact(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, (u16, String)> {
     let src = source_text(api)?;
-    let session = api.session();
-    let prog = compile_via_cache(&session, inter, src)?;
+    let session = &api.session;
+    let prog = compile_via_cache(session, inter, src)?;
     let trace = prog.sched.access_trace();
-    let certificate = parmem_exact::solve_certificate(&trace, &api.exact);
+    let certificate =
+        parmem_exact::solve_certificate(&trace, &session.exact_gap.unwrap_or_default());
     let heuristic = parmem_exact::heuristic_single_copy_residual(&trace);
     let check = parmem_verify::verify_certificate(&trace, &certificate, Some(heuristic));
     Ok(format!(
         "{{\"schema\":\"parmem-serve-exact/v1\",\"program\":\"{}\",\"k\":{},\
          \"heuristic_residual\":{},\"gap\":{},\"verify_diags\":{},\"certificate\":{}}}",
         json::escape(&api.program),
-        api.k,
+        session.k,
         heuristic,
         heuristic as isize - certificate.lower as isize,
         check.diagnostics.len(),
@@ -622,8 +626,8 @@ fn compute_exact(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, 
 
 fn compute_lint(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, (u16, String)> {
     let src = source_text(api)?;
-    let session = api.session();
-    let prog = compile_via_cache(&session, inter, src)?;
+    let session = &api.session;
+    let prog = compile_via_cache(session, inter, src)?;
     let report = session
         .lint_compiled(api.program.clone(), &prog, api.predict)
         .map_err(|e| (422, e.to_string()))?;

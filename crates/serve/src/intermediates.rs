@@ -65,9 +65,9 @@ pub struct IntermediateCache {
 
 /// Cache key: FNV-1a over the source text, a `0xFF` separator, and the
 /// unroll factor (0 = no unrolling) — the only compile option the
-/// frontend consumes. Requests can only set the factor (the protocol
-/// leaves the rest of `UnrollConfig` at its defaults), so the factor
-/// fully determines the unroll behaviour here.
+/// frontend consumes. Requests set only the factor, and
+/// [`Session::with_unroll`] fixes the body-size bound, so the factor fully
+/// determines the unroll behaviour here.
 fn frontend_key(source: &str, session: &Session) -> u64 {
     let factor = session.opts.unroll.map(|u| u.factor as u64).unwrap_or(0);
     let mut h = Fnv1a::new();
@@ -183,14 +183,7 @@ mod tests {
     fn unroll_factor_splits_the_key() {
         let cache = IntermediateCache::new(8);
         let plain = Session::new(4);
-        let opts = rliw_sim::pipeline::CompileOptions {
-            unroll: Some(liw_ir::unroll::UnrollConfig {
-                factor: 4,
-                ..liw_ir::unroll::UnrollConfig::default()
-            }),
-            ..rliw_sim::pipeline::CompileOptions::default()
-        };
-        let unrolled = Session::new(4).with_opts(opts);
+        let unrolled = Session::new(4).with_unroll(4);
         let src = "program u; var i, s: int;
             begin s := 0; for i := 1 to 12 do s := s + i; print s; end.";
         let a = cache.frontend(&plain, src).unwrap();

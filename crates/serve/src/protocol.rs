@@ -10,7 +10,7 @@
 //! typo'd option can never be silently ignored into a wrong-but-cached
 //! response.
 
-use parmem_core::assignment::{AssignParams, DuplicationStrategy};
+use parmem_core::assignment::DuplicationStrategy;
 use parmem_core::layout::ArrayPolicy;
 use parmem_core::strategies::{Strategy, STRATEGY_REGISTRY};
 use parmem_core::synth::ScaleSpec;
@@ -18,7 +18,6 @@ use parmem_driver::Session;
 use parmem_exact::ExactConfig;
 use parmem_obs::digest::fnv1a;
 use parmem_obs::json::{self, Json};
-use rliw_sim::pipeline::CompileOptions;
 
 use crate::cache::CacheKey;
 
@@ -76,22 +75,11 @@ pub struct ApiRequest {
     pub program: String,
     /// Program input.
     pub source: Source,
-    /// Module count (default 4).
-    pub k: usize,
-    /// Storage strategy (default STOR1).
-    pub strategy: Strategy,
-    /// Front-end options.
-    pub opts: CompileOptions,
-    /// Assignment tunables (jobs left 0 — the pool decides).
-    pub params: AssignParams,
-    /// Placement seed (default 0xC0FFEE, like the CLI).
-    pub seed: u64,
-    /// Compile-time array placement policy (absent = scalar-only pipeline,
-    /// byte-identical to pre-layout responses).
-    pub array_policy: Option<ArrayPolicy>,
-    /// Exact-solver budgets (`/v1/exact`; also the per-request budget
-    /// clamp's target).
-    pub exact: ExactConfig,
+    /// The pipeline configuration the members ask for, `k` 4 and the rest
+    /// at their [`Session::new`] defaults where absent. On `/v1/exact` the
+    /// solver budgets ride along as `exact_gap`, so they are part of
+    /// [`Session::config_digest`] (and the budget clamp's target).
+    pub session: Session,
     /// Run the conflict predictor (`/v1/lint`).
     pub predict: bool,
     /// Debug-only artificial latency, for deterministic saturation tests.
@@ -271,67 +259,55 @@ pub fn parse_request(
         None => default_name,
     };
 
-    let strategy = match doc.get("strategy") {
-        Some(v) => {
-            let s = v.as_str().ok_or("`strategy` must be a string")?;
-            Strategy::parse(s).ok_or_else(|| format!("bad strategy `{s}` (1|2|3|exact)"))?
-        }
-        None => Strategy::Stor1,
-    };
-
-    let mut opts = CompileOptions::default();
+    let mut session = Session::new(k);
+    if let Some(v) = doc.get("strategy") {
+        let s = v.as_str().ok_or("`strategy` must be a string")?;
+        session.strategy =
+            Strategy::parse(s).ok_or_else(|| format!("bad strategy `{s}` (1|2|3|exact)"))?;
+    }
     if let Some(v) = doc.get("unroll") {
         let factor = as_count(v, "unroll")? as usize;
         if !(2..=64).contains(&factor) {
             return Err("`unroll` must be between 2 and 64".to_string());
         }
-        opts.unroll = Some(liw_ir::unroll::UnrollConfig {
-            factor,
-            ..liw_ir::unroll::UnrollConfig::default()
-        });
+        session = session.with_unroll(factor);
     }
     if let Some(v) = doc.get("no_opt") {
-        opts.optimize = !as_bool(v, "no_opt")?;
+        session.opts.optimize = !as_bool(v, "no_opt")?;
     }
     if let Some(v) = doc.get("rename") {
-        opts.rename = as_bool(v, "rename")?;
+        session.opts.rename = as_bool(v, "rename")?;
     }
-
-    let mut params = AssignParams::default();
     if let Some(v) = doc.get("backtrack") {
         if as_bool(v, "backtrack")? {
-            params.duplication = DuplicationStrategy::Backtrack;
+            session.params.duplication = DuplicationStrategy::Backtrack;
         }
     }
     if let Some(v) = doc.get("no_atoms") {
-        params.use_atoms = !as_bool(v, "no_atoms")?;
+        session.params.use_atoms = !as_bool(v, "no_atoms")?;
     }
-
-    let seed = match doc.get("seed") {
-        Some(v) => as_count(v, "seed")?,
-        None => 0xC0FFEE,
-    };
-
-    let array_policy =
-        match doc.get("array_policy") {
-            Some(v) => {
-                let s = v.as_str().ok_or("`array_policy` must be a string")?;
-                Some(ArrayPolicy::parse(s).ok_or_else(|| {
-                    format!("bad array_policy `{s}` (interleaved|hash|block|auto)")
-                })?)
-            }
-            None => None,
-        };
-
-    let mut exact = ExactConfig::default();
-    if let Some(v) = doc.get("budget_nodes") {
-        exact.budget_nodes = as_count(v, "budget_nodes")?;
+    if let Some(v) = doc.get("seed") {
+        session.seed = as_count(v, "seed")?;
     }
-    if let Some(v) = doc.get("budget_ms") {
-        exact.budget_ms = as_count(v, "budget_ms")?;
+    if let Some(v) = doc.get("array_policy") {
+        let s = v.as_str().ok_or("`array_policy` must be a string")?;
+        session.array_policy = Some(
+            ArrayPolicy::parse(s)
+                .ok_or_else(|| format!("bad array_policy `{s}` (interleaved|hash|block|auto)"))?,
+        );
     }
-    if let Some(v) = doc.get("no_portfolio") {
-        exact.portfolio = !as_bool(v, "no_portfolio")?;
+    if endpoint == Endpoint::Exact {
+        let mut exact = ExactConfig::default();
+        if let Some(v) = doc.get("budget_nodes") {
+            exact.budget_nodes = as_count(v, "budget_nodes")?;
+        }
+        if let Some(v) = doc.get("budget_ms") {
+            exact.budget_ms = as_count(v, "budget_ms")?;
+        }
+        if let Some(v) = doc.get("no_portfolio") {
+            exact.portfolio = !as_bool(v, "no_portfolio")?;
+        }
+        session.exact_gap = Some(exact);
     }
 
     let predict = match doc.get("predict") {
@@ -347,37 +323,13 @@ pub fn parse_request(
         endpoint,
         program,
         source,
-        k,
-        strategy,
-        opts,
-        params,
-        seed,
-        array_policy,
-        exact,
+        session,
         predict,
         sleep_ms,
     })
 }
 
 impl ApiRequest {
-    /// The [`Session`] this request configures. For `/v1/exact` the exact
-    /// budgets ride along as the session's exact-gap config so they are
-    /// part of [`Session::config_digest`].
-    pub fn session(&self) -> Session {
-        let mut s = Session::new(self.k)
-            .with_strategy(self.strategy)
-            .with_opts(self.opts)
-            .with_params(self.params)
-            .with_seed(self.seed);
-        if let Some(policy) = self.array_policy {
-            s = s.with_array_policy(policy);
-        }
-        if self.endpoint == Endpoint::Exact {
-            s = s.with_exact_gap(self.exact);
-        }
-        s
-    }
-
     /// FNV digest of the program input — the display name plus the source
     /// text or canonical synth-spec string (the seed lives in the options
     /// digest). The display name is included because it appears verbatim
@@ -397,8 +349,7 @@ impl ApiRequest {
 
     /// The content address of this request's response.
     pub fn cache_key(&self) -> CacheKey {
-        let session = self.session();
-        let mut opts = session.config_digest();
+        let mut opts = self.session.config_digest();
         // Per-endpoint extras outside the session: the lint predict flag.
         if self.predict {
             opts ^= 0x9E37_79B9_7F4A_7C15;
@@ -406,10 +357,10 @@ impl ApiRequest {
         CacheKey {
             endpoint: self.endpoint.discriminant(),
             program: self.program_digest(),
-            k: self.k as u32,
+            k: self.session.k as u32,
             strategy: STRATEGY_REGISTRY
                 .iter()
-                .position(|i| i.name == self.strategy.name())
+                .position(|i| i.name == self.session.strategy.name())
                 .unwrap_or(0) as u8,
             opts,
         }
@@ -428,9 +379,9 @@ mod tests {
     fn minimal_workload_request_defaults() {
         let r = parse(Endpoint::Assign, r#"{"workload":"FFT"}"#).unwrap();
         assert_eq!(r.program, "FFT");
-        assert_eq!(r.k, 4);
-        assert_eq!(r.strategy.name(), "STOR1");
-        assert_eq!(r.seed, 0xC0FFEE);
+        assert_eq!(r.session.k, 4);
+        assert_eq!(r.session.strategy.name(), "STOR1");
+        assert_eq!(r.session.seed, parmem_driver::DEFAULT_SEED);
         assert!(matches!(r.source, Source::Text(_)));
     }
 
@@ -492,15 +443,58 @@ mod tests {
                "no_atoms":true,"seed":7,"budget_nodes":1000,"budget_ms":50,"no_portfolio":true}"#,
         )
         .unwrap();
-        assert_eq!(r.k, 2);
-        assert_eq!(r.strategy.name(), "STOR3");
-        assert!(!r.opts.optimize);
-        assert_eq!(r.params.duplication, DuplicationStrategy::Backtrack);
-        assert!(!r.params.use_atoms);
-        assert_eq!(r.seed, 7);
-        assert_eq!(r.exact.budget_nodes, 1000);
-        assert_eq!(r.exact.budget_ms, 50);
-        assert!(!r.exact.portfolio);
+        let s = &r.session;
+        assert_eq!(s.k, 2);
+        assert_eq!(s.strategy.name(), "STOR3");
+        assert!(!s.opts.optimize);
+        assert_eq!(s.params.duplication, DuplicationStrategy::Backtrack);
+        assert!(!s.params.use_atoms);
+        assert_eq!(s.seed, 7);
+        let exact = s.exact_gap.expect("/v1/exact carries its budgets");
+        assert_eq!(exact.budget_nodes, 1000);
+        assert_eq!(exact.budget_ms, 50);
+        assert!(!exact.portfolio);
+        // Only /v1/exact runs the solver, so only it carries budgets.
+        let c = parse(Endpoint::Compile, r#"{"workload":"FFT"}"#).unwrap();
+        assert!(c.session.exact_gap.is_none());
+    }
+
+    #[test]
+    fn members_configure_the_same_session_as_the_cli_flags() {
+        use parmem_driver::args::{self, CommonArgs};
+
+        let r = parse(
+            Endpoint::Compile,
+            r#"{"workload":"FFT","k":4,"strategy":"3","unroll":4,"no_opt":true,
+               "backtrack":true,"no_atoms":true,"seed":7,"array_policy":"hash"}"#,
+        )
+        .unwrap();
+        let flags = ["--no-opt", "--backtrack", "--no-atoms"];
+        let values = ["-k", "--stor", "--unroll", "--seed", "--array-policy"];
+        let argv: Vec<String> = [
+            "FFT",
+            "-k",
+            "4",
+            "--stor",
+            "3",
+            "--unroll",
+            "4",
+            "--no-opt",
+            "--backtrack",
+            "--no-atoms",
+            "--seed",
+            "7",
+            "--array-policy",
+            "hash",
+        ]
+        .map(String::from)
+        .to_vec();
+        let a = CommonArgs::parse("trace", &argv, &flags, &values).unwrap();
+        let cli = args::session(&a, args::module_count(&a, 8).unwrap())
+            .unwrap()
+            .with_strategy(args::strategy(&a).unwrap());
+        assert_eq!(r.session.opts.unroll, cli.opts.unroll);
+        assert_eq!(r.session.config_digest(), cli.config_digest());
     }
 
     #[test]
@@ -510,12 +504,11 @@ mod tests {
             r#"{"workload":"FFT","array_policy":"block"}"#,
         )
         .unwrap();
-        assert_eq!(r.array_policy, Some(ArrayPolicy::Block));
-        assert_eq!(r.session().array_policy, Some(ArrayPolicy::Block));
+        assert_eq!(r.session.array_policy, Some(ArrayPolicy::Block));
         // Absent policy keeps the scalar-only session (and its digest).
         let plain = parse(Endpoint::Compile, r#"{"workload":"FFT"}"#).unwrap();
-        assert_eq!(plain.array_policy, None);
-        assert_ne!(plain.session().config_digest(), r.session().config_digest());
+        assert_eq!(plain.session.array_policy, None);
+        assert_ne!(plain.session.config_digest(), r.session.config_digest());
         let e = parse(
             Endpoint::Compile,
             r#"{"workload":"FFT","array_policy":"striped"}"#,

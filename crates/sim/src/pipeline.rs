@@ -31,32 +31,6 @@ pub struct CompiledProgram {
     pub sched: SchedProgram,
 }
 
-/// Compile MiniLang source for a machine with the given spec.
-pub fn compile(src: &str, spec: MachineSpec) -> Result<CompiledProgram, PipelineError> {
-    let tac = liw_ir::compile(src)?;
-    let sched = liw_sched::schedule(&tac, spec);
-    Ok(CompiledProgram { tac, sched })
-}
-
-/// Compile with innermost-loop unrolling (raises ILP so wide instruction
-/// words actually fill; the paper's compiler achieved density through
-/// global trace scheduling instead).
-pub fn compile_unrolled(
-    src: &str,
-    spec: MachineSpec,
-    cfg: liw_ir::unroll::UnrollConfig,
-) -> Result<CompiledProgram, PipelineError> {
-    compile_with(
-        src,
-        spec,
-        CompileOptions {
-            unroll: Some(cfg),
-            optimize: false,
-            rename: true,
-        },
-    )
-}
-
 /// Full front-end configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct CompileOptions {
@@ -177,11 +151,6 @@ impl Table2Row {
     /// `t_max/t_min`.
     pub fn max_ratio(&self) -> f64 {
         self.t_max as f64 / self.t_min as f64
-    }
-
-    /// `t_interleaved/t_min`.
-    pub fn interleaved_ratio(&self) -> f64 {
-        self.t_interleaved as f64 / self.t_min as f64
     }
 }
 
@@ -340,18 +309,6 @@ pub fn verified_run(
     })
 }
 
-/// Convenience: compile, assign with STOR1 + defaults, and run verified.
-pub fn quick_run(
-    src: &str,
-    k: usize,
-    policy: ArrayPlacement,
-) -> Result<(VerifiedRun, AssignmentReport), PipelineError> {
-    let prog = compile(src, MachineSpec::with_modules(k))?;
-    let (assignment, report) = assign(&prog.sched, Strategy::Stor1, &AssignParams::default());
-    let run = verified_run(&prog, &assignment, policy)?;
-    Ok((run, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,22 +321,18 @@ mod tests {
           print s;
         end.";
 
-    #[test]
-    fn quick_run_is_conflict_free_and_correct() {
-        let (run, report) = quick_run(PROG, 8, ArrayPlacement::Interleaved).unwrap();
-        assert_eq!(report.residual_conflicts, 0);
-        assert_eq!(run.stats.scalar_conflict_words, 0);
-        assert_eq!(run.stats.output.len(), 1);
-        assert!(
-            run.speedup > 1.0,
-            "LIW should beat sequential: {}",
-            run.speedup
-        );
+    /// The program for a `k`-module machine with the optimizer off.
+    fn compile(src: &str, k: usize) -> CompiledProgram {
+        let opts = CompileOptions {
+            optimize: false,
+            ..CompileOptions::default()
+        };
+        compile_with(src, MachineSpec::with_modules(k), opts).unwrap()
     }
 
     #[test]
     fn table2_row_orders_policies() {
-        let prog = compile(PROG, MachineSpec::with_modules(8)).unwrap();
+        let prog = compile(PROG, 8);
         let (a, _) = assign(&prog.sched, Strategy::Stor1, &AssignParams::default());
         let row = table2_row("demo", &prog.sched, &a, 42, None).unwrap().row;
         assert!(row.t_min <= row.t_ave_measured);
@@ -399,7 +352,7 @@ mod tests {
 
     #[test]
     fn strategies_all_verify() {
-        let prog = compile(PROG, MachineSpec::with_modules(8)).unwrap();
+        let prog = compile(PROG, 8);
         for s in [Strategy::Stor1, Strategy::Stor2, Strategy::STOR3] {
             let (a, r) = assign(&prog.sched, s, &AssignParams::default());
             assert_eq!(r.residual_conflicts, 0, "{}", s.name());
@@ -410,8 +363,8 @@ mod tests {
 
     #[test]
     fn fewer_modules_increase_pressure() {
-        let p8 = compile(PROG, MachineSpec::with_modules(8)).unwrap();
-        let p2 = compile(PROG, MachineSpec::with_modules(2)).unwrap();
+        let p8 = compile(PROG, 8);
+        let p2 = compile(PROG, 2);
         let (a8, _) = assign(&p8.sched, Strategy::Stor1, &AssignParams::default());
         let (a2, _) = assign(&p2.sched, Strategy::Stor1, &AssignParams::default());
         let r8 = verified_run(&p8, &a8, ArrayPlacement::Ideal).unwrap();
@@ -436,7 +389,7 @@ mod tests {
 
     #[test]
     fn checked_run_matches_verified_run() {
-        let prog = compile(PROG, MachineSpec::with_modules(8)).unwrap();
+        let prog = compile(PROG, 8);
         let (a, _) = assign(&prog.sched, Strategy::Stor1, &AssignParams::default());
         let c = checked_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
         let v = verified_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();

@@ -143,7 +143,7 @@ use std::process::ExitCode;
 use parallel_memories::batch::{self, BatchOptions, ErrorPolicy};
 use parallel_memories::core::prelude::*;
 use parallel_memories::core::trace_io;
-use parallel_memories::driver::{args, CommonArgs, Session, TelemetryConfig};
+use parallel_memories::driver::{args, CommonArgs, TelemetryConfig, DEFAULT_SEED};
 use parallel_memories::obs;
 use parallel_memories::sim::ArrayPlacement;
 use parallel_memories::verify;
@@ -468,9 +468,7 @@ fn cmd_compile(a: &CommonArgs) -> Result<(), CliError> {
     let path = a.file_arg()?;
     let src = std::fs::read_to_string(&path)?;
     let k = args::module_count(a, 8)?;
-    let session = Session::new(k)
-        .with_strategy(args::strategy(a)?)
-        .with_opts(args::compile_options(a)?);
+    let session = args::session(a, k)?.with_strategy(args::strategy(a)?);
 
     let prog = session.compile(&src)?;
     let trace = prog.sched.access_trace();
@@ -510,16 +508,14 @@ fn cmd_verify(a: &CommonArgs) -> Result<(), CliError> {
         return cmd_verify_exact(a);
     }
     let (_, text) = args::resolve_program(&a.file_arg()?)?;
-    let params = args::assign_params(a);
 
     let report = if text.trim_start().starts_with("program") {
         // MiniLang source: run the whole pipeline and check all invariants.
         // `without_optimizer` matches the historical plain-compile behavior
         // of this subcommand (the checker re-derives, it does not optimize).
         let k = args::module_count(a, 8)?;
-        let session = Session::new(k)
+        let session = args::session(a, k)?
             .with_strategy(args::strategy(a)?)
-            .with_params(params)
             .without_optimizer();
         let prog = session.compile(&text)?;
         let (assignment, areport) = session.assign(&prog);
@@ -527,7 +523,7 @@ fn cmd_verify(a: &CommonArgs) -> Result<(), CliError> {
     } else {
         // Text access trace: assignment-level checks only.
         let named = trace_io::parse_trace(&text)?;
-        let (assignment, areport) = assign_trace(&named.trace, &params);
+        let (assignment, areport) = assign_trace(&named.trace, &args::assign_params(a));
         verify::verify_trace(&named.trace, &assignment, Some(&areport))
     };
 
@@ -549,7 +545,7 @@ fn cmd_verify_exact(a: &CommonArgs) -> Result<(), CliError> {
     let target = a.target_arg()?;
     let (program, source) = args::resolve_program(&target)?;
     let k = args::module_count(a, 4)?;
-    let session = Session::new(k).without_optimizer();
+    let session = args::session(a, k)?.without_optimizer();
     let prog = session.compile(&source)?;
     let trace = prog.sched.access_trace();
     let cfg = args::exact_config(a)?;
@@ -589,7 +585,6 @@ fn cmd_exact(a: &CommonArgs) -> Result<(), CliError> {
     let benches = args::select_benchmarks(a)?;
     let ks = args::k_list(a, &[2, 4])?;
     let cfg = args::exact_config(a)?;
-    let opts = args::compile_options(a)?;
 
     let mut specs = Vec::with_capacity(benches.len() * ks.len());
     for b in &benches {
@@ -597,9 +592,7 @@ fn cmd_exact(a: &CommonArgs) -> Result<(), CliError> {
             specs.push(ExactJobSpec {
                 program: b.name.to_string(),
                 source: b.source.to_string(),
-                k,
-                cfg,
-                opts,
+                session: args::session(a, k)?.with_exact_gap(cfg),
             });
         }
     }
@@ -653,10 +646,7 @@ fn cmd_lint(a: &CommonArgs) -> Result<(), CliError> {
             .collect::<Result<_, _>>()?
     };
     let ks = args::k_list(a, &[4])?;
-    let opts = args::compile_options(a)?;
     let predict = a.flag("--predict");
-    let seed: u64 = a.parsed("--seed")?.unwrap_or(0xC0FFEE);
-    let array_policy = args::array_policy(a)?;
 
     let mut specs = Vec::with_capacity(programs.len() * ks.len());
     for (program, source) in &programs {
@@ -664,11 +654,8 @@ fn cmd_lint(a: &CommonArgs) -> Result<(), CliError> {
             specs.push(LintJobSpec {
                 program: program.clone(),
                 source: source.clone(),
-                k,
-                opts,
+                session: args::session(a, k)?,
                 predict,
-                seed,
-                array_policy,
             });
         }
     }
@@ -714,7 +701,7 @@ fn cmd_synth(a: &CommonArgs) -> Result<(), CliError> {
         modules: a.parsed("-k")?.unwrap_or(8),
     };
     spec.validate().map_err(|e| format!("synth: {e}"))?;
-    let seed: u64 = a.parsed("--seed")?.unwrap_or(0xC0FFEE);
+    let seed: u64 = a.parsed("--seed")?.unwrap_or(DEFAULT_SEED);
     let jobs: usize = a.parsed("--jobs")?.unwrap_or(0);
 
     let w = scale_workload(&spec, seed);
@@ -830,14 +817,7 @@ fn cmd_trace(a: &CommonArgs) -> Result<(), CliError> {
     let target = a.target_arg()?;
     let (program, source) = args::resolve_program(&target)?;
     let k = args::module_count(a, 8)?;
-    let mut session = Session::new(k)
-        .with_strategy(args::strategy(a)?)
-        .with_opts(args::compile_options(a)?)
-        .with_params(args::assign_params(a))
-        .with_seed(a.parsed("--seed")?.unwrap_or(0xC0FFEE));
-    if let Some(policy) = args::array_policy(a)? {
-        session = session.with_array_policy(policy);
-    }
+    let session = args::session(a, k)?.with_strategy(args::strategy(a)?);
 
     // Run the one job with the collector live, then drain it exactly once.
     obs::set_enabled(true);
@@ -879,8 +859,8 @@ fn cmd_trace(a: &CommonArgs) -> Result<(), CliError> {
             eprintln!(
                 "job {} k={} {}: {} words in {} cycles, speed-up {:.2}x",
                 result.spec.program,
-                result.spec.k,
-                result.spec.strategy.name(),
+                k,
+                session.strategy.name(),
                 out.words,
                 out.cycles,
                 out.speedup
@@ -911,17 +891,9 @@ fn cmd_batch(a: &CommonArgs) -> Result<(), CliError> {
         },
     };
 
-    let seed: u64 = a.parsed("--seed")?.unwrap_or(0xC0FFEE);
-    let opts = args::compile_options(a)?;
-    let params = args::assign_params(a);
-    let array_policy = args::array_policy(a)?;
-
-    let mut specs = batch::sweep_jobs(&benches, &ks, &strategies, seed);
-    for s in &mut specs {
-        s.opts = opts;
-        s.params = params;
-        s.array_policy = array_policy;
-    }
+    // `sweep_jobs` sets each job's `k` and strategy.
+    let base = args::session(a, ks[0])?;
+    let specs = batch::sweep_jobs(&benches, &ks, &strategies, &base);
 
     let batch_opts = BatchOptions {
         jobs: a.parsed("--jobs")?.unwrap_or(0),

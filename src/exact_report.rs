@@ -11,23 +11,21 @@
 use std::fmt::Write as _;
 
 use parmem_driver::Session;
-use parmem_exact::{heuristic_single_copy_residual, solve_certificate, Certificate, ExactConfig};
+use parmem_exact::{heuristic_single_copy_residual, solve_certificate, Certificate};
 use parmem_obs::json;
-use rliw_sim::pipeline::CompileOptions;
 
-/// One exact-solver job: a program at a module count, with a solver budget.
+/// One exact-solver job: a program compiled under a session, with the
+/// solver budget in the session's `exact_gap`.
 #[derive(Clone, Debug)]
 pub struct ExactJobSpec {
     /// Display name (workload name or file stem).
     pub program: String,
     /// MiniLang source text.
     pub source: String,
-    /// Number of memory modules `k`.
-    pub k: usize,
-    /// Solver configuration (budgets, portfolio, seed).
-    pub cfg: ExactConfig,
-    /// Front-end options (unroll / optimize), matching `parmem batch`.
-    pub opts: CompileOptions,
+    /// Module count and front-end options (unroll / optimize, matching
+    /// `parmem batch`), plus the solver configuration (budgets, portfolio,
+    /// seed) as `exact_gap`; the default configuration when that is unset.
+    pub session: Session,
 }
 
 /// What one exact job produced: the certificate, the heuristic residual it
@@ -65,13 +63,13 @@ impl ExactMeasurement {
 /// Run one exact job: compile, solve, measure, re-validate.
 pub fn run_exact_job(spec: &ExactJobSpec) -> ExactJobResult {
     let mut sp = parmem_obs::span("exact.job");
+    let session = &spec.session;
     sp.attr("program", spec.program.clone());
-    sp.attr("k", spec.k);
+    sp.attr("k", session.k);
     let outcome = (|| {
-        let session = Session::new(spec.k).with_opts(spec.opts);
         let prog = session.compile(&spec.source).map_err(|e| e.to_string())?;
         let trace = prog.sched.access_trace();
-        let certificate = solve_certificate(&trace, &spec.cfg);
+        let certificate = solve_certificate(&trace, &session.exact_gap.unwrap_or_default());
         let heuristic_residual = heuristic_single_copy_residual(&trace);
         let check =
             parmem_verify::verify_certificate(&trace, &certificate, Some(heuristic_residual));
@@ -83,7 +81,7 @@ pub fn run_exact_job(spec: &ExactJobSpec) -> ExactJobResult {
     })();
     ExactJobResult {
         program: spec.program.clone(),
-        k: spec.k,
+        k: session.k,
         outcome,
     }
 }
@@ -182,9 +180,7 @@ mod tests {
         ExactJobSpec {
             program: "FFT".into(),
             source: workloads::by_name("FFT").unwrap().source.into(),
-            k,
-            cfg: ExactConfig::default(),
-            opts: CompileOptions::default(),
+            session: Session::new(k),
         }
     }
 

@@ -9,32 +9,26 @@
 
 use std::fmt::Write as _;
 
-use parmem_core::layout::ArrayPolicy;
 use parmem_driver::Session;
 use parmem_lint::LintReport;
 use parmem_obs::json;
-use rliw_sim::pipeline::CompileOptions;
 
-/// One lint job: a program at a module count.
+/// One lint job: a program under a session.
 #[derive(Clone, Debug)]
 pub struct LintJobSpec {
     /// Display name (workload name or file stem).
     pub program: String,
     /// MiniLang source text.
     pub source: String,
-    /// Number of memory modules `k` assumed by the layout-aware lints and
-    /// the conflict predictor.
-    pub k: usize,
-    /// Front-end options (unroll / optimize), matching `parmem batch`.
-    pub opts: CompileOptions,
+    /// The module count `k` the layout-aware lints and the conflict
+    /// predictor assume, the front-end options (matching `parmem batch`),
+    /// the seed of the uniform-random placement the t_ave cross-check runs
+    /// and, when set (with `predict` on), the array policy whose
+    /// measured-vs-modeled rows the report carries.
+    pub session: Session,
     /// Whether to run the static conflict predictor and cross-check it
     /// against the simulator's measured counters.
     pub predict: bool,
-    /// Seed for the uniform-random placement the t_ave cross-check runs.
-    pub seed: u64,
-    /// Compile-time array placement policy: when set (and `predict` is
-    /// on), the report carries per-policy measured-vs-modeled rows.
-    pub array_policy: Option<ArrayPolicy>,
 }
 
 /// What one lint job produced.
@@ -52,19 +46,14 @@ pub struct LintJobResult {
 pub fn run_lint_job(spec: &LintJobSpec) -> LintJobResult {
     let mut sp = parmem_obs::span("lint.job");
     sp.attr("program", spec.program.clone());
-    sp.attr("k", spec.k);
-    let mut session = Session::new(spec.k)
-        .with_opts(spec.opts)
-        .with_seed(spec.seed);
-    if let Some(policy) = spec.array_policy {
-        session = session.with_array_policy(policy);
-    }
-    let outcome = session
+    sp.attr("k", spec.session.k);
+    let outcome = spec
+        .session
         .lint(&spec.program, &spec.source, spec.predict)
         .map_err(|e| e.to_string());
     LintJobResult {
         program: spec.program.clone(),
-        k: spec.k,
+        k: spec.session.k,
         outcome,
     }
 }
@@ -154,11 +143,8 @@ mod tests {
         LintJobSpec {
             program: name.into(),
             source: workloads::by_name(name).unwrap().source.into(),
-            k,
-            opts: CompileOptions::default(),
+            session: Session::new(k),
             predict: true,
-            seed: 0xC0FFEE,
-            array_policy: None,
         }
     }
 

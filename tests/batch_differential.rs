@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use parallel_memories::batch::{self, BatchOptions, BatchReport};
-use parallel_memories::driver::{job, JobSpec};
+use parallel_memories::driver::{job, JobSpec, Session};
 
 /// Small random programs: cheap enough to push through the full pipeline
 /// many times per proptest case.
@@ -42,7 +42,7 @@ fn arb_program() -> impl Strategy<Value = String> {
 fn specs_for(srcs: &[String]) -> Vec<JobSpec> {
     srcs.iter()
         .enumerate()
-        .flat_map(|(i, src)| [2usize, 4].map(|k| JobSpec::new(format!("P{i}"), src.clone(), k)))
+        .flat_map(|(i, src)| [2usize, 4].map(|k| Session::new(k).job(format!("P{i}"), src.clone())))
         .collect()
 }
 
@@ -87,7 +87,7 @@ proptest! {
         let reference = liw_ir::run_source(&src).unwrap();
         let expected = job::hash_output(&reference.output);
         for k in [2usize, 4, 8] {
-            let r = job::run_job(&JobSpec::new("P", src.clone(), k));
+            let r = Session::new(k).run("P", src.clone());
             let out = r.outcome.as_ref().expect("pipeline succeeds");
             prop_assert_eq!(out.output_hash, expected, "k={}", k);
             prop_assert_eq!(out.output_len, reference.output.len());
@@ -149,9 +149,9 @@ fn planned_interleaved_matches_legacy_interleaved() {
 
     for bench in workloads::benchmarks() {
         for k in [2usize, 4, 8] {
-            let spec = JobSpec::new(bench.name, bench.source, k)
-                .with_array_policy(ArrayPolicy::Interleaved);
-            let r = job::run_job(&spec);
+            let r = Session::new(k)
+                .with_array_policy(ArrayPolicy::Interleaved)
+                .run(bench.name, bench.source);
             let out = r.outcome.as_ref().expect("pipeline succeeds");
             let planned = out
                 .planned

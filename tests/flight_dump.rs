@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use parallel_memories::batch::{run_batch, BatchOptions};
-use parallel_memories::driver::{FaultInjection, JobSpec};
+use parallel_memories::driver::{FaultInjection, Session};
 use parallel_memories::obs;
 
 const SRC: &str = "program boom; var i, s: int;
@@ -30,7 +30,8 @@ fn child_panicking_batch_job() {
     };
     obs::set_enabled(true);
     obs::flight::install(64, Some(PathBuf::from(dump)), true);
-    let spec = JobSpec::new("BOOM", SRC, 4)
+    let spec = Session::new(4)
+        .job("BOOM", SRC)
         .with_fault(FaultInjection::PanicInStage(obs::StageKind::Assign));
     let report = run_batch(
         vec![spec],
