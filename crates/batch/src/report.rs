@@ -105,10 +105,14 @@ impl BatchReport {
                         Some(g) => format!(
                             " gap={} [{},{}] {}{}",
                             g.gap(),
-                            g.lower,
-                            g.upper,
-                            g.status,
-                            if g.cert_clean { "" } else { " CERT-DIRTY" }
+                            g.certificate.lower,
+                            g.certificate.upper,
+                            g.certificate.status.as_str(),
+                            if g.report.is_clean() {
+                                ""
+                            } else {
+                                " CERT-DIRTY"
+                            }
                         ),
                         None => String::new(),
                     };
@@ -297,12 +301,12 @@ impl BatchReport {
                         s,
                         ",{},{},{},{},{},{},{}",
                         g.heuristic_residual,
-                        g.lower,
-                        g.upper,
+                        g.certificate.lower,
+                        g.certificate.upper,
                         g.gap(),
-                        g.status,
-                        g.copies_upper,
-                        g.cert_clean
+                        g.certificate.status.as_str(),
+                        g.certificate.copies_upper,
+                        g.report.is_clean()
                     );
                 }
                 None => s.push_str(",,,,,,,"),
@@ -337,11 +341,15 @@ impl BatchReport {
                         Some(g) => format!(
                             " | gap: h={} bounds=[{},{}] status={} copies={} cert={}",
                             g.heuristic_residual,
-                            g.lower,
-                            g.upper,
-                            g.status,
-                            g.copies_upper,
-                            if g.cert_clean { "clean" } else { "dirty" }
+                            g.certificate.lower,
+                            g.certificate.upper,
+                            g.certificate.status.as_str(),
+                            g.certificate.copies_upper,
+                            if g.report.is_clean() {
+                                "clean"
+                            } else {
+                                "dirty"
+                            }
                         ),
                         None => String::new(),
                     };
@@ -455,13 +463,13 @@ pub fn job_json(r: &JobResult, include_timings: bool) -> String {
                      \"gap\":{},\"status\":\"{}\",\"copies_upper\":{},\
                      \"nodes_expanded\":{},\"cert_clean\":{}}}",
                     g.heuristic_residual,
-                    g.lower,
-                    g.upper,
+                    g.certificate.lower,
+                    g.certificate.upper,
                     g.gap(),
-                    g.status,
-                    g.copies_upper,
-                    g.nodes_expanded,
-                    g.cert_clean
+                    g.certificate.status.as_str(),
+                    g.certificate.copies_upper,
+                    g.certificate.nodes_expanded,
+                    g.report.is_clean()
                 );
             }
             if let Some(p) = &o.planned {

@@ -22,30 +22,12 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use parmem_bench::baseline_rows;
-use parmem_driver::Session;
-use parmem_exact::{heuristic_single_copy_residual, solve_certificate, ExactConfig};
+use parmem_driver::{ExactGap, Session};
+use parmem_exact::ExactConfig;
 
 const KS: [usize; 2] = [2, 4];
 
-struct Row {
-    program: String,
-    k: usize,
-    status: &'static str,
-    lower: usize,
-    upper: usize,
-    heuristic: usize,
-    copies_upper: usize,
-    nodes: u64,
-    cert_clean: bool,
-}
-
-impl Row {
-    fn gap(&self) -> isize {
-        self.heuristic as isize - self.lower as isize
-    }
-}
-
-fn measure() -> Vec<Row> {
+fn measure() -> Vec<(&'static str, usize, ExactGap)> {
     let mut rows = Vec::new();
     for b in workloads::benchmarks() {
         for k in KS {
@@ -53,53 +35,41 @@ fn measure() -> Vec<Row> {
                 .without_optimizer()
                 .compile(b.source)
                 .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-            let trace = prog.sched.access_trace();
-            let cert = solve_certificate(&trace, &ExactConfig::default());
-            let heuristic = heuristic_single_copy_residual(&trace);
-            let check = parmem_verify::verify_certificate(&trace, &cert, Some(heuristic));
-            rows.push(Row {
-                program: b.name.to_string(),
-                k,
-                status: cert.status.as_str(),
-                lower: cert.lower,
-                upper: cert.upper,
-                heuristic,
-                copies_upper: cert.copies_upper,
-                nodes: cert.nodes_expanded,
-                cert_clean: check.is_clean(),
-            });
+            let gap = ExactGap::measure(&prog.sched.access_trace(), &ExactConfig::default());
+            rows.push((b.name, k, gap));
         }
     }
     rows
 }
 
-fn to_json(rows: &[Row]) -> String {
+fn to_json(rows: &[(&str, usize, ExactGap)]) -> String {
     let mut s = String::from("{\"schema\":\"parmem-bench-exact/v1\",\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
+    for (i, (program, k, m)) in rows.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
+        let c = &m.certificate;
         let _ = write!(
             s,
             "{{\"program\":\"{}\",\"k\":{},\"status\":\"{}\",\"lower\":{},\"upper\":{},\
              \"heuristic\":{},\"gap\":{},\"copies_upper\":{},\"nodes\":{},\"cert_clean\":{}}}",
-            r.program,
-            r.k,
-            r.status,
-            r.lower,
-            r.upper,
-            r.heuristic,
-            r.gap(),
-            r.copies_upper,
-            r.nodes,
-            r.cert_clean
+            program,
+            k,
+            c.status.as_str(),
+            c.lower,
+            c.upper,
+            m.heuristic_residual,
+            m.gap(),
+            c.copies_upper,
+            c.nodes_expanded,
+            m.report.is_clean()
         );
     }
     s.push_str("]}\n");
     s
 }
 
-fn format_table(rows: &[Row]) -> String {
+fn format_table(rows: &[(&str, usize, ExactGap)]) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -107,20 +77,25 @@ fn format_table(rows: &[Row]) -> String {
         "program", "k", "status", "lower", "upper", "heuristic", "gap", "copies", "nodes"
     );
     let _ = writeln!(s, "{}", "-".repeat(88));
-    for r in rows {
+    for (program, k, m) in rows {
+        let c = &m.certificate;
         let _ = writeln!(
             s,
             "{:<10} {:>2} | {:<16} {:>5} {:>5} {:>9} {:>4} {:>6} {:>10} | {}",
-            r.program,
-            r.k,
-            r.status,
-            r.lower,
-            r.upper,
-            r.heuristic,
-            r.gap(),
-            r.copies_upper,
-            r.nodes,
-            if r.cert_clean { "clean" } else { "DIRTY" }
+            program,
+            k,
+            c.status.as_str(),
+            c.lower,
+            c.upper,
+            m.heuristic_residual,
+            m.gap(),
+            c.copies_upper,
+            c.nodes_expanded,
+            if m.report.is_clean() {
+                "clean"
+            } else {
+                "DIRTY"
+            }
         );
     }
     s
@@ -143,11 +118,8 @@ fn main() -> ExitCode {
     std::fs::write(&out_path, to_json(&rows)).expect("write report");
     eprintln!("wrote {out_path}");
 
-    if let Some(dirty) = rows.iter().find(|r| !r.cert_clean) {
-        eprintln!(
-            "FAIL: certificate for {} k={} failed re-validation",
-            dirty.program, dirty.k
-        );
+    if let Some((program, k, _)) = rows.iter().find(|(_, _, m)| !m.report.is_clean()) {
+        eprintln!("FAIL: certificate for {program} k={k} failed re-validation");
         return ExitCode::FAILURE;
     }
 
@@ -168,30 +140,22 @@ fn main() -> ExitCode {
             }
         };
         let mut regressions = 0;
-        for r in &rows {
-            match base
-                .iter()
-                .find(|(p, k, _, _)| *p == r.program && *k == r.k)
-            {
+        for (program, k, m) in &rows {
+            match base.iter().find(|(p, bk, _, _)| p == program && bk == k) {
                 None => {
-                    eprintln!("note: {} k={} not in baseline (new row)", r.program, r.k);
+                    eprintln!("note: {program} k={k} not in baseline (new row)");
                 }
                 Some((_, _, base_gap, base_status)) => {
-                    if r.gap() > *base_gap {
+                    if m.gap() > *base_gap {
                         eprintln!(
-                            "REGRESSION: {} k={} gap {} > baseline {}",
-                            r.program,
-                            r.k,
-                            r.gap(),
-                            base_gap
+                            "REGRESSION: {program} k={k} gap {} > baseline {base_gap}",
+                            m.gap()
                         );
                         regressions += 1;
                     }
-                    if base_status == "optimal" && r.status != "optimal" {
-                        eprintln!(
-                            "REGRESSION: {} k={} was proven optimal, now `{}`",
-                            r.program, r.k, r.status
-                        );
+                    let status = m.certificate.status.as_str();
+                    if base_status == "optimal" && status != "optimal" {
+                        eprintln!("REGRESSION: {program} k={k} was proven optimal, now `{status}`");
                         regressions += 1;
                     }
                 }

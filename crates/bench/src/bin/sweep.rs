@@ -28,8 +28,7 @@ fn main() {
                 };
                 let prog = session.compile(b.source).expect("benchmark compiles");
                 let (a, r) = session.assign(&prog);
-                let run = session
-                    .verified_run(&prog, &a, ArrayPlacement::Interleaved)
+                let run = rliw_sim::checked_run(&prog, &a, ArrayPlacement::Interleaved)
                     .unwrap_or_else(|e| panic!("{} k={k}: {e}", b.name));
                 assert_eq!(run.stats.scalar_conflict_words, 0);
                 if csv {

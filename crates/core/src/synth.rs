@@ -74,43 +74,6 @@ pub fn random_trace(spec: &TraceSpec, seed: u64) -> AccessTrace {
     AccessTrace::new(spec.modules, instructions)
 }
 
-/// A trace guaranteed to admit a conflict-free single-copy assignment: a
-/// hidden k-coloring is fixed and every instruction samples operands with
-/// pairwise-distinct hidden colors. Used to measure how often the heuristics
-/// find zero-duplication solutions when one exists.
-pub fn colorable_trace(spec: &TraceSpec, seed: u64) -> AccessTrace {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let k = spec.modules;
-    let max_ops = spec.max_ops.min(k).min(spec.values);
-    let min_ops = spec.min_ops.min(max_ops);
-
-    // Hidden color per value.
-    let hidden: Vec<usize> = (0..spec.values).map(|_| rng.gen_range(0..k)).collect();
-    // Bucket values by hidden color.
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); k];
-    for (v, &c) in hidden.iter().enumerate() {
-        buckets[c].push(v as u32);
-    }
-    let nonempty: Vec<usize> = (0..k).filter(|&c| !buckets[c].is_empty()).collect();
-
-    let mut instructions =
-        Instructions::with_capacity(spec.instructions, spec.instructions * max_ops);
-    for _ in 0..spec.instructions {
-        let n_ops = rng.gen_range(min_ops..=max_ops).min(nonempty.len());
-        // Choose n_ops distinct colors, then one value from each bucket.
-        let mut colors = nonempty.clone();
-        for i in (1..colors.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            colors.swap(i, j);
-        }
-        instructions.push(colors[..n_ops].iter().map(|&c| {
-            let b = &buckets[c];
-            ValueId(b[rng.gen_range(0..b.len())])
-        }));
-    }
-    AccessTrace::new(spec.modules, instructions)
-}
-
 /// An adversarial trace that forces duplication: `cliques` groups of
 /// `modules + extra` values, each group fully co-scheduled (every
 /// `modules`-sized combination of the group appears as an instruction for
@@ -590,32 +553,6 @@ mod tests {
             a.instructions, b.instructions,
             "seeds should change the trace"
         );
-    }
-
-    #[test]
-    fn colorable_trace_admits_conflict_free_assignment() {
-        // By construction the hidden coloring is conflict-free; verify by
-        // reconstructing it (the generator's invariant, not the heuristic's).
-        let spec = TraceSpec {
-            values: 40,
-            instructions: 150,
-            modules: 5,
-            min_ops: 2,
-            max_ops: 5,
-            skew: 0.3,
-        };
-        let t = colorable_trace(&spec, 7);
-        // All instructions must have ≤ k operands and be pairwise colorable:
-        // the generator guarantees distinct hidden colors inside each
-        // instruction, so a valid assignment exists. Check the weaker,
-        // machine-verifiable property: the graph produced is k-colorable via
-        // the exact hidden reconstruction — i.e. no instruction has more
-        // operands than modules.
-        assert_eq!(t.oversized_instructions(), 0);
-        use crate::assignment::{assign_trace, AssignParams};
-        let (a, r) = assign_trace(&t, &AssignParams::default());
-        assert_eq!(r.residual_conflicts, 0);
-        assert_eq!(a.residual_conflicts(&t), 0);
     }
 
     #[test]

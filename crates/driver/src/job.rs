@@ -19,6 +19,7 @@ use parmem_obs::{JobMetrics, StageKind, StageTimer};
 use parmem_verify::{PendingReport, VerifyReport};
 use rliw_sim::pipeline::{self, Table2Row};
 
+use crate::exact_gap::ExactGap;
 use crate::session::Session;
 
 /// One unit of pipeline work: compile `source` under `session`'s
@@ -192,7 +193,7 @@ pub struct JobOutput {
     /// differential tests compare this across engines and `--jobs` settings.
     pub output_hash: u64,
     /// Heuristic-vs-exact gap measurement (only when the spec asked for it).
-    pub gap: Option<GapSummary>,
+    pub gap: Option<ExactGap>,
     /// Compile-time planned array placement measurement (only when the
     /// spec carried an array policy).
     pub planned: Option<PlannedSummary>,
@@ -212,35 +213,6 @@ pub struct PlannedSummary {
     pub t_ave_model: f64,
     /// Arrays the plan covers.
     pub arrays: usize,
-}
-
-/// What the optional exact-gap stage measured: the certified bounds, the
-/// heuristic's residual against them, and whether the certificate survived
-/// independent re-validation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GapSummary {
-    /// Residual of the heuristic single-copy assignment.
-    pub heuristic_residual: usize,
-    /// Certified lower bound on the optimal residual.
-    pub lower: usize,
-    /// Best residual the exact solver achieved.
-    pub upper: usize,
-    /// Certificate status (`optimal`/`infeasible-at-k`/`bounded`).
-    pub status: &'static str,
-    /// Extra copies the exact witness needs after duplication repair.
-    pub copies_upper: usize,
-    /// Branch-and-bound nodes expanded.
-    pub nodes_expanded: u64,
-    /// Whether `parmem-verify` re-validated the certificate clean
-    /// (PM201–PM206).
-    pub cert_clean: bool,
-}
-
-impl GapSummary {
-    /// Gap between the heuristic and the certified lower bound.
-    pub fn gap(&self) -> isize {
-        self.heuristic_residual as isize - self.lower as isize
-    }
 }
 
 /// A completed job: its spec, outcome, and per-stage metrics.
@@ -363,7 +335,7 @@ pub struct PipelineContext<'a> {
     table2: Option<Table2Row>,
     words: u64,
     cycles: u64,
-    gap: Option<GapSummary>,
+    gap: Option<ExactGap>,
     planned: Option<PlannedSummary>,
 }
 
@@ -622,18 +594,7 @@ impl<'a> PipelineContext<'a> {
         let t = StageTimer::start();
         let g = {
             let _sp = parmem_obs::span(StageKind::ExactGap.span_name());
-            let cert = parmem_exact::solve_certificate(trace, cfg);
-            let heuristic = parmem_exact::heuristic_single_copy_residual(trace);
-            let check = parmem_verify::verify_certificate(trace, &cert, Some(heuristic));
-            GapSummary {
-                heuristic_residual: heuristic,
-                lower: cert.lower,
-                upper: cert.upper,
-                status: cert.status.as_str(),
-                copies_upper: cert.copies_upper,
-                nodes_expanded: cert.nodes_expanded,
-                cert_clean: check.is_clean(),
-            }
+            ExactGap::measure(trace, cfg)
         };
         self.metrics.push(StageKind::ExactGap, t.stop());
         self.gap = Some(g);
@@ -730,8 +691,8 @@ mod tests {
             .iter()
             .filter(|s| s.name == "verify.differential.compare")
             .filter(|s| {
-                let stage = by_id[&s.parent.expect("nested")];
-                stage.parent == Some(job.id)
+                let stage = s.parent.and_then(|p| by_id.get(&p));
+                stage.is_some_and(|stage| stage.parent == Some(job.id))
             })
             .collect();
         assert_eq!(compare.len(), 1);
@@ -748,9 +709,9 @@ mod tests {
         assert_eq!(r.status(), "ok");
         let out = r.outcome.expect("job succeeds");
         let g = out.gap.expect("gap stage ran");
-        assert!(g.cert_clean, "certificate must re-validate clean");
+        assert!(g.report.is_clean(), "certificate must re-validate clean");
         assert!(g.gap() >= 0, "heuristic can never beat the lower bound");
-        assert!(g.lower <= g.upper);
+        assert!(g.certificate.lower <= g.certificate.upper);
         // The extra stage is recorded on top of the usual seven.
         assert_eq!(r.metrics.stages.len(), 8);
     }

@@ -16,6 +16,9 @@
 //! * [`PipelineContext`] executes the stages one at a time, applying fault
 //!   injection, per-stage wall/alloc metrics, and obs span wrapping in
 //!   exactly one place — [`run_job`] adds panic isolation on top;
+//! * [`ExactGap`] is the one heuristic-vs-exact gap measurement, shared
+//!   by the `exact_gap` stage, `parmem exact`, `parmem verify --exact`,
+//!   serve's `/v1/exact` and the `exact_gaps` bench;
 //! * [`args`] is the CLI's shared argument parser ([`args::CommonArgs`])
 //!   plus the option → pipeline-config builders.
 //!
@@ -28,14 +31,16 @@
 //! ```
 
 pub mod args;
+pub mod exact_gap;
 pub mod job;
 pub mod session;
 pub mod telemetry;
 
 pub use args::CommonArgs;
+pub use exact_gap::ExactGap;
 pub use job::{
-    hash_output, run_job, run_stages, FaultInjection, GapSummary, JobError, JobOutput, JobResult,
-    JobSpec, PipelineContext, PlannedSummary,
+    hash_output, run_job, run_stages, FaultInjection, JobError, JobOutput, JobResult, JobSpec,
+    PipelineContext, PlannedSummary,
 };
 pub use session::{Session, DEFAULT_SEED};
 pub use telemetry::{TelemetryConfig, TelemetryGuard};

@@ -22,8 +22,7 @@ use parmem_core::layout::{ArrayPolicy, MemoryLayout};
 use parmem_core::strategies::Strategy;
 use parmem_obs::digest::Fnv1a;
 use parmem_verify::VerifyReport;
-use rliw_sim::pipeline::{CompileOptions, CompiledProgram, PipelineError, VerifiedRun};
-use rliw_sim::ArrayPlacement;
+use rliw_sim::pipeline::{CompileOptions, CompiledProgram, PipelineError};
 
 use crate::job::{run_job, JobResult, JobSpec};
 
@@ -320,18 +319,6 @@ impl Session {
             predict,
         })
     }
-
-    /// Simulate under `policy` and cross-check against the reference
-    /// interpreter (panics on divergence, like
-    /// `rliw_sim::pipeline::verified_run`).
-    pub fn verified_run(
-        &self,
-        prog: &CompiledProgram,
-        assignment: &Assignment,
-        policy: ArrayPlacement,
-    ) -> Result<VerifiedRun, PipelineError> {
-        rliw_sim::pipeline::verified_run(prog, assignment, policy)
-    }
 }
 
 #[cfg(test)]
@@ -362,9 +349,7 @@ mod tests {
         assert_eq!(rep.residual_conflicts, 0);
         let v = s.verify(&prog, &a, Some(&rep));
         assert!(v.is_clean(), "{v}");
-        let run = s
-            .verified_run(&prog, &a, ArrayPlacement::Interleaved)
-            .unwrap();
+        let run = rliw_sim::checked_run(&prog, &a, rliw_sim::ArrayPlacement::Interleaved).unwrap();
         assert!(run.speedup > 1.0);
     }
 

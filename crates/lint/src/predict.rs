@@ -97,10 +97,11 @@ pub fn predict(prog: &SchedProgram, assignment: &Assignment) -> StaticPrediction
     let mut words = Vec::new();
     let mut word_arrays = Vec::new();
 
+    let mut scalar_webs = Vec::new();
     for (bi, b) in prog.blocks.iter().enumerate() {
         for wi in 0..b.words.len() {
             let word = &b.words[wi];
-            let scalar_webs = b.word_operands(wi);
+            b.word_operands(wi, &mut scalar_webs);
             let mut op_sets: Vec<ModuleSet> = scalar_webs
                 .iter()
                 .map(|&w| assignment.copies(ValueId(w)))

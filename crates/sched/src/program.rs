@@ -96,39 +96,21 @@ pub enum SlotOp {
 }
 
 impl SlotOp {
-    /// Scalar data values this op reads.
-    pub fn scalar_reads(&self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(2);
-        let mut push = |o: &SOperand| {
-            if let Some(w) = o.web() {
-                out.push(w);
-            }
-        };
-        match self {
-            SlotOp::Compute { lhs, rhs, .. } => {
-                push(lhs);
-                if let Some(r) = rhs {
-                    push(r);
-                }
-            }
-            SlotOp::Load { index, .. } => push(index),
-            SlotOp::Store { index, value, .. } => {
-                push(index);
-                push(value);
-            }
-            SlotOp::Print { value } => push(value),
+    /// Scalar data values this op reads, in operand order.
+    pub fn scalar_reads(&self) -> impl Iterator<Item = u32> + '_ {
+        let operands = match self {
+            SlotOp::Compute { lhs, rhs, .. } => [Some(lhs), rhs.as_ref(), None],
+            SlotOp::Load { index, .. } => [Some(index), None, None],
+            SlotOp::Store { index, value, .. } => [Some(index), Some(value), None],
+            SlotOp::Print { value } => [Some(value), None, None],
             SlotOp::Select {
                 cond,
                 if_true,
                 if_false,
                 ..
-            } => {
-                push(cond);
-                push(if_true);
-                push(if_false);
-            }
-        }
-        out
+            } => [Some(cond), Some(if_true), Some(if_false)],
+        };
+        operands.into_iter().flatten().filter_map(SOperand::web)
     }
 
     /// Data value written, if any.
@@ -157,7 +139,7 @@ pub struct LongWord {
 impl LongWord {
     /// Distinct scalar data values this word fetches.
     pub fn scalar_read_set(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.ops.iter().flat_map(|o| o.scalar_reads()).collect();
+        let mut v: Vec<u32> = self.ops.iter().flat_map(SlotOp::scalar_reads).collect();
         v.sort_unstable();
         v.dedup();
         v
@@ -203,18 +185,17 @@ pub struct SchedBlock {
 }
 
 impl SchedBlock {
-    /// The scalar data values fetched by word `i`, including the branch
-    /// condition when `i` is the final word.
-    pub fn word_operands(&self, i: usize) -> Vec<u32> {
-        let mut v = self.words[i].scalar_read_set();
+    /// The scalar data values fetched by word `i`, ascending and distinct,
+    /// including the branch condition when `i` is the final word. They
+    /// replace the contents of `out`, so one buffer serves every word.
+    pub fn word_operands(&self, i: usize, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.words[i].ops.iter().flat_map(SlotOp::scalar_reads));
         if i + 1 == self.words.len() {
-            if let Some(w) = self.term.cond_web() {
-                v.push(w);
-                v.sort_unstable();
-                v.dedup();
-            }
+            out.extend(self.term.cond_web());
         }
-        v
+        out.sort_unstable();
+        out.dedup();
     }
 }
 
@@ -368,9 +349,11 @@ impl SchedProgram {
     /// One operand set per word of `blocks`, in order.
     fn trace_of<'s>(&'s self, blocks: impl Iterator<Item = &'s SchedBlock>) -> AccessTrace {
         let mut insts = Instructions::with_capacity(self.word_count(), 0);
+        let mut reads = Vec::new();
         for b in blocks {
             for i in 0..b.words.len() {
-                insts.push(b.word_operands(i).into_iter().map(ValueId));
+                b.word_operands(i, &mut reads);
+                insts.push(reads.iter().copied().map(ValueId));
             }
         }
         AccessTrace::new(self.spec.modules, insts)
@@ -385,11 +368,13 @@ impl SchedProgram {
         let mut region_uses: Vec<std::collections::HashSet<u32>> =
             vec![Default::default(); self.n_regions];
 
+        let mut reads = Vec::new();
         for (bi, b) in self.blocks.iter().enumerate() {
             let r = self.region_of_block[bi] as usize;
             region_ends[r] += b.words.len();
             for i in 0..b.words.len() {
-                region_uses[r].extend(b.word_operands(i));
+                b.word_operands(i, &mut reads);
+                region_uses[r].extend(&reads);
                 region_uses[r].extend(b.words[i].ops.iter().filter_map(SlotOp::writes));
             }
         }
@@ -410,80 +395,5 @@ impl SchedProgram {
             .collect();
 
         RegionizedTrace::new(self.region_major_trace(), region_ends, globals)
-    }
-
-    /// Histogram of scalar-operand counts per word: `h[i]` = number of
-    /// static words fetching exactly `i` distinct scalar values. The paper's
-    /// conflict pressure is driven by this density (a word with `i` operands
-    /// is an `i`-clique in the conflict graph).
-    pub fn operand_histogram(&self) -> Vec<usize> {
-        let mut h = vec![0usize; self.spec.mem_ports + 2];
-        for b in &self.blocks {
-            for i in 0..b.words.len() {
-                let n = b.word_operands(i).len().min(h.len() - 1);
-                h[n] += 1;
-            }
-        }
-        while h.len() > 1 && *h.last().unwrap() == 0 {
-            h.pop();
-        }
-        h
-    }
-
-    /// Mean distinct scalar operands per word.
-    pub fn mean_operands_per_word(&self) -> f64 {
-        let h = self.operand_histogram();
-        let total: usize = h.iter().sum();
-        if total == 0 {
-            return 0.0;
-        }
-        h.iter().enumerate().map(|(i, &c)| i * c).sum::<usize>() as f64 / total as f64
-    }
-
-    /// Count of scalar data values that actually appear in the trace
-    /// (the paper's Table 1 counts scalars, i.e. placed values).
-    pub fn used_values(&self) -> usize {
-        let t = self.access_trace();
-        let mut vals: std::collections::HashSet<u32> =
-            t.instructions.operands().iter().map(|v| v.0).collect();
-        for b in &self.blocks {
-            for w in &b.words {
-                for op in &w.ops {
-                    if let Some(d) = op.writes() {
-                        vals.insert(d);
-                    }
-                }
-            }
-        }
-        vals.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::schedule::schedule;
-
-    #[test]
-    fn operand_histogram_counts_words() {
-        let tac = liw_ir::compile(
-            "program t; var a, b, c, d, x, y: int;
-             begin x := a + b; y := c + d; end.",
-        )
-        .unwrap();
-        let sp = schedule(&tac, MachineSpec::with_modules(8));
-        let h = sp.operand_histogram();
-        assert_eq!(h.iter().sum::<usize>(), sp.word_count());
-        // One word fetching 4 distinct scalars.
-        assert_eq!(h.get(4), Some(&1), "{h:?}");
-        assert!(sp.mean_operands_per_word() > 0.0);
-    }
-
-    #[test]
-    fn empty_words_count_as_zero_operands() {
-        let tac = liw_ir::compile("program t; begin end.").unwrap();
-        let sp = schedule(&tac, MachineSpec::with_modules(4));
-        let h = sp.operand_histogram();
-        assert_eq!(h[0], sp.word_count());
     }
 }

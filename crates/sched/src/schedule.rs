@@ -479,9 +479,11 @@ mod tests {
             spec,
         );
         assert_valid(&sp);
+        let mut reads = Vec::new();
         for b in &sp.blocks {
             for (i, w) in b.words.iter().enumerate() {
-                let ports = b.word_operands(i).len() + w.array_access_count();
+                b.word_operands(i, &mut reads);
+                let ports = reads.len() + w.array_access_count();
                 assert!(ports <= 3, "word uses {ports} ports");
             }
         }
@@ -673,7 +675,9 @@ mod tests {
         let b0 = &sp.blocks[0];
         assert_eq!(b0.words.len(), 2, "{:?}", b0.words);
         assert_eq!(b0.words[0].ops.len(), 2);
-        assert_eq!(b0.word_operands(0).len(), 3);
+        let mut reads = Vec::new();
+        b0.word_operands(0, &mut reads);
+        assert_eq!(reads.len(), 3);
     }
 
     #[test]

@@ -10,18 +10,17 @@
 //! remaining output-affecting knob (which deliberately excludes worker
 //! count).
 //!
-//! Eviction is least-recently-used under a **byte** budget (entries are
+//! Eviction is the shared [`Lru`]'s under a **byte** budget (entries are
 //! whole JSON bodies of wildly different sizes, so an entry-count budget
-//! would be meaningless): every lookup bumps the entry's recency tick,
-//! and inserts evict from the oldest tick until the total body bytes fit.
-//! A body larger than the whole budget is never inserted (counted as
-//! `oversized` instead of churning the entire cache through eviction).
+//! would be meaningless): each body weighs its length, and a body larger
+//! than the whole budget is never inserted (counted as `oversized`).
 //!
 //! [`Session::config_digest`]: parmem_driver::Session::config_digest
 
-use std::collections::{BTreeMap, HashMap};
-
 use parmem_obs::digest::fnv1a;
+
+pub use crate::lru::CacheStats;
+use crate::lru::Lru;
 
 /// The content address of one response: endpoint discriminant, program
 /// digest, module count, strategy discriminant, and the digest of every
@@ -55,68 +54,23 @@ pub fn etag_for(body: &str) -> String {
     format!("\"{:016x}\"", fnv1a(body.as_bytes()))
 }
 
-/// Lifetime counters, exposed via `/v1/stats` and `/metrics`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found an entry.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Bodies stored (including replacements).
-    pub insertions: u64,
-    /// Bodies refused because they alone exceed the byte budget.
-    pub oversized: u64,
-}
-
-struct Entry {
-    response: CachedResponse,
-    tick: u64,
-}
-
-/// The LRU byte-budget cache. Not internally synchronized — the daemon
-/// wraps it in a `Mutex` (lookups and inserts are short: a hash probe and
-/// at most a few evictions).
+/// The LRU byte-budget response cache. Not internally synchronized — the
+/// daemon wraps it in a `Mutex`.
 pub struct ResponseCache {
-    budget: usize,
-    bytes: usize,
-    tick: u64,
-    map: HashMap<CacheKey, Entry>,
-    recency: BTreeMap<u64, CacheKey>,
-    stats: CacheStats,
+    lru: Lru<CacheKey, CachedResponse>,
 }
 
 impl ResponseCache {
     /// An empty cache holding at most `budget` bytes of response bodies.
     pub fn new(budget: usize) -> ResponseCache {
         ResponseCache {
-            budget,
-            bytes: 0,
-            tick: 0,
-            map: HashMap::new(),
-            recency: BTreeMap::new(),
-            stats: CacheStats::default(),
+            lru: Lru::new(budget),
         }
     }
 
     /// Look `key` up, bumping its recency and the hit/miss counters.
     pub fn lookup(&mut self, key: &CacheKey) -> Option<CachedResponse> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(key) {
-            Some(entry) => {
-                self.recency.remove(&entry.tick);
-                entry.tick = tick;
-                self.recency.insert(tick, *key);
-                self.stats.hits += 1;
-                Some(entry.response.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        self.lru.get(key).cloned()
     }
 
     /// Store `body` under `key` (its ETag is derived here), evicting
@@ -125,78 +79,49 @@ impl ResponseCache {
     /// budget.
     pub fn insert(&mut self, key: CacheKey, body: String) -> Option<CachedResponse> {
         let cost = body.len();
-        if cost > self.budget {
-            self.stats.oversized += 1;
-            return None;
-        }
-        // Replacing an entry first releases its bytes and recency slot.
-        if let Some(old) = self.map.remove(&key) {
-            self.bytes -= old.response.body.len();
-            self.recency.remove(&old.tick);
-        }
-        while self.bytes + cost > self.budget {
-            let (&oldest, &victim) = self
-                .recency
-                .iter()
-                .next()
-                .expect("bytes > 0 implies a recency entry");
-            let evicted = self.map.remove(&victim).expect("recency maps into map");
-            self.bytes -= evicted.response.body.len();
-            self.recency.remove(&oldest);
-            self.stats.evictions += 1;
-        }
-        self.tick += 1;
         let response = CachedResponse {
             etag: etag_for(&body),
             body,
         };
-        self.bytes += cost;
-        self.recency.insert(self.tick, key);
-        self.map.insert(
-            key,
-            Entry {
-                response: response.clone(),
-                tick: self.tick,
-            },
-        );
-        self.stats.insertions += 1;
-        Some(response)
+        self.lru
+            .insert(key, response.clone(), cost)
+            .then_some(response)
     }
 
     /// Entries currently held.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.lru.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.lru.is_empty()
     }
 
     /// Body bytes currently held.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.lru.weight()
     }
 
     /// The configured byte budget.
     pub fn budget(&self) -> usize {
-        self.budget
+        self.lru.budget()
     }
 
     /// Lifetime counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.lru.stats()
     }
 
     /// The `"cache"` member of the `/v1/stats` document.
     pub fn stats_json(&self) -> String {
-        let s = self.stats;
+        let s = self.stats();
         format!(
             "{{\"budget_bytes\":{},\"bytes\":{},\"entries\":{},\"hits\":{},\"misses\":{},\
              \"evictions\":{},\"insertions\":{},\"oversized\":{}}}",
-            self.budget,
-            self.bytes,
-            self.map.len(),
+            self.budget(),
+            self.bytes(),
+            self.len(),
             s.hits,
             s.misses,
             s.evictions,

@@ -30,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use parmem_core::assignment::assign_trace;
 use parmem_core::synth::scale_trace;
+use parmem_driver::ExactGap;
 use parmem_obs::digest::Fnv1a;
 use parmem_obs::json;
 use parmem_obs::serve::{
@@ -607,20 +608,15 @@ fn compute_exact(api: &ApiRequest, inter: &IntermediateCache) -> Result<String, 
     let src = source_text(api)?;
     let session = &api.session;
     let prog = compile_via_cache(session, inter, src)?;
-    let trace = prog.sched.access_trace();
-    let certificate =
-        parmem_exact::solve_certificate(&trace, &session.exact_gap.unwrap_or_default());
-    let heuristic = parmem_exact::heuristic_single_copy_residual(&trace);
-    let check = parmem_verify::verify_certificate(&trace, &certificate, Some(heuristic));
+    let gap = ExactGap::measure(
+        &prog.sched.access_trace(),
+        &session.exact_gap.unwrap_or_default(),
+    );
     Ok(format!(
-        "{{\"schema\":\"parmem-serve-exact/v1\",\"program\":\"{}\",\"k\":{},\
-         \"heuristic_residual\":{},\"gap\":{},\"verify_diags\":{},\"certificate\":{}}}",
+        "{{\"schema\":\"parmem-serve-exact/v1\",\"program\":\"{}\",\"k\":{}{}}}",
         json::escape(&api.program),
         session.k,
-        heuristic,
-        heuristic as isize - certificate.lower as isize,
-        check.diagnostics.len(),
-        certificate.to_json()
+        gap.json_members()
     ))
 }
 

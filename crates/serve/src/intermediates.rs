@@ -13,9 +13,9 @@
 //!
 //! Correctness contract: an entry under a key **is** the frontend's
 //! output for that `(source, unroll)` pair — the daemon only ever inserts
-//! what [`Session::frontend`] just returned. Eviction is
-//! least-recently-used under an entry-count budget (TAC programs are
-//! small and uniform, unlike response bodies). The frontend runs
+//! what [`Session::frontend`] just returned. Eviction is the shared
+//! [`Lru`]'s under an entry-count budget, each program weighing 1 (TAC
+//! programs are small and uniform, unlike response bodies). The frontend runs
 //! *outside* the lock, so a racing miss may compute the same TAC twice;
 //! the second insert replaces the first with an identical program, which
 //! is benign.
@@ -23,13 +23,14 @@
 //! [`Session::frontend`]: parmem_driver::Session::frontend
 //! [`Session::compile_tac`]: parmem_driver::Session::compile_tac
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use liw_ir::tac::TacProgram;
 use parmem_driver::Session;
 use parmem_obs::digest::Fnv1a;
 use rliw_sim::pipeline::PipelineError;
+
+use crate::lru::Lru;
 
 /// Lifetime counters, exposed via `/v1/stats` (`"intermediates"`) and
 /// `/metrics`.
@@ -43,24 +44,10 @@ pub struct IntermediateStats {
     pub entries: u64,
 }
 
-struct Entry {
-    tac: Arc<TacProgram>,
-    tick: u64,
-}
-
-struct Inner {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<u64, Entry>,
-    recency: BTreeMap<u64, u64>,
-    hits: u64,
-    misses: u64,
-}
-
 /// The LRU frontend-TAC cache. Internally synchronized; the daemon holds
 /// one in an `Arc` shared with every pool worker.
 pub struct IntermediateCache {
-    inner: Mutex<Inner>,
+    lru: Mutex<Lru<u64, Arc<TacProgram>>>,
 }
 
 /// Cache key: FNV-1a over the source text, a `0xFF` separator, and the
@@ -80,14 +67,7 @@ impl IntermediateCache {
     /// An empty cache holding at most `capacity` front-ended programs.
     pub fn new(capacity: usize) -> IntermediateCache {
         IntermediateCache {
-            inner: Mutex::new(Inner {
-                capacity: capacity.max(1),
-                tick: 0,
-                map: HashMap::new(),
-                recency: BTreeMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
+            lru: Mutex::new(Lru::new(capacity.max(1))),
         }
     }
 
@@ -101,55 +81,28 @@ impl IntermediateCache {
         source: &str,
     ) -> Result<Arc<TacProgram>, PipelineError> {
         let key = frontend_key(source, session);
-        {
-            let mut inner = self.inner.lock().unwrap();
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                let old = entry.tick;
-                entry.tick = tick;
-                let tac = Arc::clone(&entry.tac);
-                inner.recency.remove(&old);
-                inner.recency.insert(tick, key);
-                inner.hits += 1;
-                return Ok(tac);
-            }
-            inner.misses += 1;
+        if let Some(tac) = self.locked().get(&key) {
+            return Ok(Arc::clone(tac));
         }
         let tac = Arc::new(session.frontend(source)?);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(old) = inner.map.remove(&key) {
-            inner.recency.remove(&old.tick);
-        }
-        while inner.map.len() >= inner.capacity {
-            let (&oldest, &victim) = inner
-                .recency
-                .iter()
-                .next()
-                .expect("len >= capacity >= 1 implies a recency entry");
-            inner.map.remove(&victim);
-            inner.recency.remove(&oldest);
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.recency.insert(tick, key);
-        inner.map.insert(
-            key,
-            Entry {
-                tac: Arc::clone(&tac),
-                tick,
-            },
-        );
+        self.locked().insert(key, Arc::clone(&tac), 1);
         Ok(tac)
+    }
+
+    fn locked(&self) -> MutexGuard<'_, Lru<u64, Arc<TacProgram>>> {
+        self.lru
+            .lock()
+            .expect("no thread panics while it holds the intermediates lock")
     }
 
     /// Lifetime counters plus the current entry count.
     pub fn stats(&self) -> IntermediateStats {
-        let inner = self.inner.lock().unwrap();
+        let lru = self.locked();
+        let s = lru.stats();
         IntermediateStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            entries: inner.map.len() as u64,
+            hits: s.hits,
+            misses: s.misses,
+            entries: lru.len() as u64,
         }
     }
 

@@ -14,7 +14,8 @@
 //!   intermediate cache ([`intermediates`]) keys the *frontend stage's*
 //!   TAC on `(source, unroll)` alone, so same-program/different-`k`
 //!   requests skip re-parsing even though their response addresses
-//!   differ.
+//!   differ. Both are one generic LRU ([`lru`]) that weighs entries
+//!   against a budget: bodies by their bytes, programs as one each.
 //! - **Admission control** ([`daemon`]): a bounded queue in front of the
 //!   worker pool answers `429 Retry-After` at saturation instead of
 //!   queueing unboundedly; per-request wall and exact-solver budgets are
@@ -35,6 +36,7 @@
 pub mod cache;
 pub mod daemon;
 pub mod intermediates;
+pub mod lru;
 pub mod protocol;
 pub mod stats;
 

@@ -1,6 +1,7 @@
-//! Cache correctness beyond the unit tests: the LRU byte-budget cache
-//! against a naive reference model under arbitrary op sequences, exact
-//! hit accounting under a many-threaded hammer, and the determinism
+//! Cache correctness beyond the unit tests: the shared LRU, under a byte
+//! budget and under an entry-count budget, and the response cache built on
+//! it, against a naive reference model under arbitrary op sequences; exact
+//! hit accounting under a many-threaded hammer; and the determinism
 //! contract the whole design rests on — a cached replay is byte-identical
 //! to a fresh computation of the same request.
 
@@ -8,7 +9,8 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Mutex;
 
-use parmem_serve::cache::{CacheKey, ResponseCache};
+use parmem_serve::cache::{CacheKey, CacheStats, ResponseCache};
+use parmem_serve::lru::Lru;
 use parmem_serve::{Daemon, ServeConfig};
 use proptest::prelude::*;
 
@@ -22,30 +24,47 @@ fn key(n: u64) -> CacheKey {
     }
 }
 
+/// How the model weighs an entry: the response cache's bytes, or the
+/// intermediates cache's one per entry.
+#[derive(Clone, Copy, Debug)]
+enum Weight {
+    Bytes,
+    Entries,
+}
+
+impl Weight {
+    fn of(self, body: &str) -> usize {
+        match self {
+            Weight::Bytes => body.len(),
+            Weight::Entries => 1,
+        }
+    }
+}
+
 /// The naive model: a flat map of `(body, last-used tick)` with the same
 /// tick discipline as the real cache, evicting the minimum tick while
 /// over budget.
 struct ModelCache {
     budget: usize,
+    weight: Weight,
     tick: u64,
     entries: std::collections::BTreeMap<u64, (String, u64)>,
-    hits: u64,
-    misses: u64,
+    stats: CacheStats,
 }
 
 impl ModelCache {
-    fn new(budget: usize) -> ModelCache {
+    fn new(budget: usize, weight: Weight) -> ModelCache {
         ModelCache {
             budget,
+            weight,
             tick: 0,
             entries: std::collections::BTreeMap::new(),
-            hits: 0,
-            misses: 0,
+            stats: CacheStats::default(),
         }
     }
 
-    fn bytes(&self) -> usize {
-        self.entries.values().map(|(b, _)| b.len()).sum()
+    fn held(&self) -> usize {
+        self.entries.values().map(|(b, _)| self.weight.of(b)).sum()
     }
 
     fn lookup(&mut self, k: u64) -> Option<String> {
@@ -53,22 +72,24 @@ impl ModelCache {
         match self.entries.get_mut(&k) {
             Some((body, tick)) => {
                 *tick = self.tick;
-                self.hits += 1;
+                self.stats.hits += 1;
                 Some(body.clone())
             }
             None => {
-                self.misses += 1;
+                self.stats.misses += 1;
                 None
             }
         }
     }
 
     fn insert(&mut self, k: u64, body: String) {
-        if body.len() > self.budget {
+        let w = self.weight.of(&body);
+        if w > self.budget {
+            self.stats.oversized += 1;
             return;
         }
         self.entries.remove(&k);
-        while self.bytes() + body.len() > self.budget {
+        while self.held() + w > self.budget {
             let victim = *self
                 .entries
                 .iter()
@@ -76,39 +97,76 @@ impl ModelCache {
                 .expect("over budget implies an entry")
                 .0;
             self.entries.remove(&victim);
+            self.stats.evictions += 1;
         }
         self.tick += 1;
         self.entries.insert(k, (body, self.tick));
+        self.stats.insertions += 1;
     }
 }
 
+/// Lookups (op 0) and inserts (op 1) over a small key space; an insert's
+/// body is `len` bytes long.
+fn arb_ops() -> impl Strategy<Value = Vec<(u8, u64, usize)>> {
+    proptest::collection::vec((0u8..2, 0u64..6, 1usize..48), 1..120)
+}
+
+fn body(k: u64, len: usize) -> String {
+    "x".repeat(len) + &k.to_string()
+}
+
 proptest! {
-    /// Any interleaving of lookups and inserts (op 0 = lookup, 1 = insert)
-    /// over a small key space and a tight budget: the real cache and the
-    /// model agree on membership, bodies, byte usage, and hit/miss counts
-    /// after every operation.
+    /// Any interleaving of lookups and inserts against a tight budget: the
+    /// response cache and the byte-weighed model agree on membership,
+    /// bodies, byte usage and every counter after every operation.
     #[test]
-    fn lru_matches_reference_model(
-        budget in 16usize..128,
-        ops in proptest::collection::vec((0u8..2, 0u64..6, 1usize..48), 1..120),
-    ) {
+    fn lru_matches_reference_model(budget in 16usize..128, ops in arb_ops()) {
         let mut real = ResponseCache::new(budget);
-        let mut model = ModelCache::new(budget);
+        let mut model = ModelCache::new(budget, Weight::Bytes);
         for (op, k, len) in ops {
             if op == 0 {
                 let got = real.lookup(&key(k)).map(|c| c.body);
                 let want = model.lookup(k);
                 prop_assert_eq!(got, want, "lookup({})", k);
             } else {
-                let body: String = "x".repeat(len) + &k.to_string();
-                real.insert(key(k), body.clone());
-                model.insert(k, body);
+                real.insert(key(k), body(k, len));
+                model.insert(k, body(k, len));
             }
-            prop_assert_eq!(real.bytes(), model.bytes());
+            prop_assert_eq!(real.bytes(), model.held());
             prop_assert_eq!(real.len(), model.entries.len());
             prop_assert!(real.bytes() <= budget);
-            let s = real.stats();
-            prop_assert_eq!((s.hits, s.misses), (model.hits, model.misses));
+            prop_assert_eq!(real.stats(), model.stats);
+        }
+    }
+
+    /// The shared LRU itself under both weights: bytes against a byte
+    /// budget, as the response cache uses it, and one per entry against an
+    /// entry-count budget, as the intermediates cache uses it.
+    #[test]
+    fn generic_lru_matches_reference_model_under_both_weights(
+        bytes_budget in 16usize..128,
+        entries_budget in 1usize..6,
+        ops in arb_ops(),
+    ) {
+        for (weight, budget) in [(Weight::Bytes, bytes_budget), (Weight::Entries, entries_budget)] {
+            let mut real: Lru<u64, String> = Lru::new(budget);
+            let mut model = ModelCache::new(budget, weight);
+            for &(op, k, len) in &ops {
+                if op == 0 {
+                    let got = real.get(&k).cloned();
+                    let want = model.lookup(k);
+                    prop_assert_eq!(got, want, "{:?}: get({})", weight, k);
+                } else {
+                    let b = body(k, len);
+                    let stored = real.insert(k, b.clone(), weight.of(&b));
+                    prop_assert_eq!(stored, weight.of(&b) <= budget);
+                    model.insert(k, b);
+                }
+                prop_assert_eq!(real.weight(), model.held());
+                prop_assert_eq!(real.len(), model.entries.len());
+                prop_assert!(real.weight() <= budget);
+                prop_assert_eq!(real.stats(), model.stats);
+            }
         }
     }
 }

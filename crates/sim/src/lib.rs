@@ -22,6 +22,6 @@ pub mod pipeline;
 pub use arrays::{uniform_seed, ArrayPlacement};
 pub use machine::{run, run_policies, run_policies_with_fuel, run_with_fuel, SimError, SimStats};
 pub use pipeline::{
-    assign, compile_with, table2_row, verified_run, CompileOptions, CompiledProgram, Table2Row,
+    assign, checked_run, compile_with, table2_row, CompileOptions, CompiledProgram, Table2Row,
     Table2Run, VerifiedRun,
 };

@@ -183,10 +183,11 @@ impl FetchPlan {
             loads: Vec::new(),
             maxload: Vec::new(),
         };
+        let mut scalar_webs = Vec::new();
         for b in &prog.blocks {
             plan.block_start.push(plan.words.len());
             for (wi, word) in b.words.iter().enumerate() {
-                let scalar_webs = b.word_operands(wi);
+                b.word_operands(wi, &mut scalar_webs);
                 let mut unplaced_reads = 0;
                 let op_sets: Vec<ModuleSet> = scalar_webs
                     .iter()

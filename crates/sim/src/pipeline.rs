@@ -263,9 +263,8 @@ impl std::fmt::Display for Divergence {
 impl std::error::Error for Divergence {}
 
 /// Simulate and cross-check against the reference interpreter, reporting a
-/// divergence as a structured [`Divergence`] error instead of panicking —
-/// the batch engine uses this so a miscompiled job degrades into a per-job
-/// failure.
+/// divergence as a structured [`Divergence`] error instead of panicking, so
+/// a miscompiled program makes `parmem compile` exit 1.
 pub fn checked_run(
     prog: &CompiledProgram,
     assignment: &Assignment,
@@ -290,22 +289,6 @@ pub fn checked_run(
         stats,
         reference_steps: reference.steps,
         speedup,
-    })
-}
-
-/// Simulate and cross-check against the reference interpreter. Panics if the
-/// simulated output diverges from the reference semantics (use
-/// [`checked_run`] to get a structured error instead).
-pub fn verified_run(
-    prog: &CompiledProgram,
-    assignment: &Assignment,
-    policy: ArrayPlacement,
-) -> Result<VerifiedRun, PipelineError> {
-    checked_run(prog, assignment, policy).map_err(|e| {
-        if e.is::<Divergence>() {
-            panic!("{e}");
-        }
-        e
     })
 }
 
@@ -356,7 +339,7 @@ mod tests {
         for s in [Strategy::Stor1, Strategy::Stor2, Strategy::STOR3] {
             let (a, r) = assign(&prog.sched, s, &AssignParams::default());
             assert_eq!(r.residual_conflicts, 0, "{}", s.name());
-            let run = verified_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
+            let run = checked_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
             assert_eq!(run.stats.scalar_conflict_words, 0, "{}", s.name());
         }
     }
@@ -367,8 +350,8 @@ mod tests {
         let p2 = compile(PROG, 2);
         let (a8, _) = assign(&p8.sched, Strategy::Stor1, &AssignParams::default());
         let (a2, _) = assign(&p2.sched, Strategy::Stor1, &AssignParams::default());
-        let r8 = verified_run(&p8, &a8, ArrayPlacement::Ideal).unwrap();
-        let r2 = verified_run(&p2, &a2, ArrayPlacement::Ideal).unwrap();
+        let r8 = checked_run(&p8, &a8, ArrayPlacement::Ideal).unwrap();
+        let r2 = checked_run(&p2, &a2, ArrayPlacement::Ideal).unwrap();
         // A 2-wide machine needs at least as many words.
         assert!(r2.stats.words >= r8.stats.words);
     }
@@ -385,16 +368,6 @@ mod tests {
             sched.access_trace().instructions,
             whole.sched.access_trace().instructions
         );
-    }
-
-    #[test]
-    fn checked_run_matches_verified_run() {
-        let prog = compile(PROG, 8);
-        let (a, _) = assign(&prog.sched, Strategy::Stor1, &AssignParams::default());
-        let c = checked_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
-        let v = verified_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
-        assert_eq!(c.stats.cycles, v.stats.cycles);
-        assert_eq!(c.stats.output, v.stats.output);
     }
 
     #[test]

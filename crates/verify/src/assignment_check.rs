@@ -7,7 +7,7 @@
 //! instruction stream, and the report numbers are recomputed from the
 //! assignment. Agreement is therefore evidence, not tautology.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use parmem_core::assignment::{Assignment, AssignmentReport};
 use parmem_core::types::{AccessTrace, ValueId};
@@ -264,16 +264,6 @@ pub fn check_assignment(
     diags
 }
 
-/// Count, per distinct value, in how many instructions it appears — used by
-/// callers that want to rank diagnostics by how hot the offending value is.
-pub fn value_frequencies(trace: &AccessTrace) -> HashMap<ValueId, usize> {
-    let mut f = HashMap::new();
-    for &v in trace.instructions.operands() {
-        *f.entry(v).or_insert(0) += 1;
-    }
-    f
-}
-
 fn low_mask(k: usize) -> u64 {
     if k >= 64 {
         u64::MAX
@@ -371,12 +361,5 @@ mod tests {
         assert!(!diags.iter().any(|d| d.code == Code::PM003));
         // The pipeline reported the residual conflict, so no PM004.
         assert!(!diags.iter().any(|d| d.code == Code::PM004));
-    }
-
-    #[test]
-    fn value_frequencies_count_cooccurrence() {
-        let f = value_frequencies(&fig1());
-        assert_eq!(f[&ValueId(2)], 3);
-        assert_eq!(f[&ValueId(1)], 1);
     }
 }

@@ -201,7 +201,7 @@ pub fn check_scheduled_dataflow(sched: &SchedProgram) -> Vec<Diagnostic> {
         .iter()
         .flat_map(|b| {
             let ops = b.words.iter().flat_map(|w| &w.ops);
-            ops.flat_map(|o| o.scalar_reads().into_iter().chain(o.writes()))
+            ops.flat_map(|o| o.scalar_reads().chain(o.writes()))
                 .chain(b.term.cond_web())
         })
         .chain(sched.entry_value.iter().copied())

@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         report.single_copy, report.multi_copy, report.residual_conflicts
     );
 
-    let smart_run = session.verified_run(&prog, &smart, ArrayPlacement::Interleaved)?;
+    let smart_run = sim::checked_run(&prog, &smart, ArrayPlacement::Interleaved)?;
     println!("\nconflict-aware layout (interleaved arrays):");
     print_stats(&smart_run.stats);
     println!(

@@ -143,9 +143,9 @@ use std::process::ExitCode;
 use parallel_memories::batch::{self, BatchOptions, ErrorPolicy};
 use parallel_memories::core::prelude::*;
 use parallel_memories::core::trace_io;
-use parallel_memories::driver::{args, CommonArgs, TelemetryConfig, DEFAULT_SEED};
+use parallel_memories::driver::{args, CommonArgs, ExactGap, TelemetryConfig, DEFAULT_SEED};
 use parallel_memories::obs;
-use parallel_memories::sim::ArrayPlacement;
+use parallel_memories::sim::{self, ArrayPlacement};
 use parallel_memories::verify;
 
 // Per-stage allocation metrics are measured by the obs counting allocator;
@@ -485,7 +485,7 @@ fn cmd_compile(a: &CommonArgs) -> Result<(), CliError> {
         report.multi_copy,
         report.residual_conflicts
     );
-    let run = session.verified_run(&prog, &assignment, ArrayPlacement::Interleaved)?;
+    let run = sim::checked_run(&prog, &assignment, ArrayPlacement::Interleaved)?;
     println!(
         "executed {} words in {} cycles  (transfer time {}Δ, scalar-conflict words {})",
         run.stats.words, run.stats.cycles, run.stats.transfer_time, run.stats.scalar_conflict_words
@@ -547,15 +547,13 @@ fn cmd_verify_exact(a: &CommonArgs) -> Result<(), CliError> {
     let k = args::module_count(a, 4)?;
     let session = args::session(a, k)?.without_optimizer();
     let prog = session.compile(&source)?;
-    let trace = prog.sched.access_trace();
-    let cfg = args::exact_config(a)?;
-    let cert = parallel_memories::exact::solve_certificate(&trace, &cfg);
-    let heuristic = parallel_memories::exact::heuristic_single_copy_residual(&trace);
-    let report = verify::verify_certificate(&trace, &cert, Some(heuristic));
+    let m = ExactGap::measure(&prog.sched.access_trace(), &args::exact_config(a)?);
+    let (cert, report) = (&m.certificate, &m.report);
     if a.flag("--json") {
         println!(
-            "{{\"schema\":\"parmem-verify-exact/v1\",\"program\":\"{}\",\"heuristic_residual\":{heuristic},\"certificate\":{},\"report\":{}}}",
+            "{{\"schema\":\"parmem-verify-exact/v1\",\"program\":\"{}\",\"heuristic_residual\":{},\"certificate\":{},\"report\":{}}}",
             obs::json::escape(&program),
+            m.heuristic_residual,
             cert.to_json(),
             report.to_json()
         );
@@ -565,8 +563,8 @@ fn cmd_verify_exact(a: &CommonArgs) -> Result<(), CliError> {
             cert.status.as_str(),
             cert.lower,
             cert.upper,
-            heuristic,
-            heuristic as isize - cert.lower as isize
+            m.heuristic_residual,
+            m.gap()
         );
         print!("{report}");
     }
@@ -616,7 +614,7 @@ fn cmd_exact(a: &CommonArgs) -> Result<(), CliError> {
     let failed = results
         .iter()
         .filter(|r| match &r.outcome {
-            Ok(m) => m.verify_diags > 0,
+            Ok(m) => !m.report.is_clean(),
             Err(_) => true,
         })
         .count();

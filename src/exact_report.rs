@@ -10,8 +10,7 @@
 
 use std::fmt::Write as _;
 
-use parmem_driver::Session;
-use parmem_exact::{heuristic_single_copy_residual, solve_certificate, Certificate};
+use parmem_driver::{ExactGap, Session};
 use parmem_obs::json;
 
 /// One exact-solver job: a program compiled under a session, with the
@@ -28,8 +27,8 @@ pub struct ExactJobSpec {
     pub session: Session,
 }
 
-/// What one exact job produced: the certificate, the heuristic residual it
-/// bounds, and the independent re-validation verdict.
+/// What one exact job produced: the gap measurement, or why the program
+/// did not compile.
 #[derive(Clone, Debug)]
 pub struct ExactJobResult {
     /// The job that ran.
@@ -37,48 +36,24 @@ pub struct ExactJobResult {
     /// Module count.
     pub k: usize,
     /// `Ok` with the measurement, or a pipeline error string.
-    pub outcome: Result<ExactMeasurement, String>,
+    pub outcome: Result<ExactGap, String>,
 }
 
-/// The measurement carried by a successful [`ExactJobResult`].
-#[derive(Clone, Debug)]
-pub struct ExactMeasurement {
-    /// The solver's certificate (bounds, witness, clique evidence).
-    pub certificate: Certificate,
-    /// Residual conflicts of the paper-heuristic single-copy assignment.
-    pub heuristic_residual: usize,
-    /// Number of PM2xx diagnostics from independent re-validation (0 =
-    /// clean).
-    pub verify_diags: usize,
-}
-
-impl ExactMeasurement {
-    /// Heuristic residual minus certified lower bound (never negative for a
-    /// clean certificate).
-    pub fn gap(&self) -> isize {
-        self.heuristic_residual as isize - self.certificate.lower as isize
-    }
-}
-
-/// Run one exact job: compile, solve, measure, re-validate.
+/// Run one exact job: compile, then measure the gap on the access trace.
 pub fn run_exact_job(spec: &ExactJobSpec) -> ExactJobResult {
     let mut sp = parmem_obs::span("exact.job");
     let session = &spec.session;
     sp.attr("program", spec.program.clone());
     sp.attr("k", session.k);
-    let outcome = (|| {
-        let prog = session.compile(&spec.source).map_err(|e| e.to_string())?;
-        let trace = prog.sched.access_trace();
-        let certificate = solve_certificate(&trace, &session.exact_gap.unwrap_or_default());
-        let heuristic_residual = heuristic_single_copy_residual(&trace);
-        let check =
-            parmem_verify::verify_certificate(&trace, &certificate, Some(heuristic_residual));
-        Ok(ExactMeasurement {
-            certificate,
-            heuristic_residual,
-            verify_diags: check.diagnostics.len(),
+    let outcome = session
+        .compile(&spec.source)
+        .map(|prog| {
+            ExactGap::measure(
+                &prog.sched.access_trace(),
+                &session.exact_gap.unwrap_or_default(),
+            )
         })
-    })();
+        .map_err(|e| e.to_string());
     ExactJobResult {
         program: spec.program.clone(),
         k: session.k,
@@ -117,7 +92,7 @@ pub fn to_text(results: &[ExactJobResult]) -> String {
                     m.gap(),
                     c.copies_upper,
                     c.nodes_expanded,
-                    if m.verify_diags == 0 {
+                    if m.report.is_clean() {
                         "clean"
                     } else {
                         "DIRTY"
@@ -152,16 +127,7 @@ pub fn to_json(results: &[ExactJobResult]) -> String {
             r.k
         );
         match &r.outcome {
-            Ok(m) => {
-                let _ = write!(
-                    s,
-                    ",\"heuristic_residual\":{},\"gap\":{},\"verify_diags\":{},\"certificate\":{}",
-                    m.heuristic_residual,
-                    m.gap(),
-                    m.verify_diags,
-                    m.certificate.to_json()
-                );
-            }
+            Ok(m) => s.push_str(&m.json_members()),
             Err(e) => {
                 let _ = write!(s, ",\"error\":\"{}\"", json::escape(e));
             }
@@ -197,7 +163,7 @@ mod tests {
         let rs = run_exact_jobs(vec![spec(2), spec(4)], 0);
         for r in rs {
             let m = r.outcome.expect("pipeline ok");
-            assert_eq!(m.verify_diags, 0);
+            assert!(m.report.is_clean());
             assert!(m.gap() >= 0);
         }
     }

@@ -34,8 +34,7 @@ fn all_benchmarks_all_strategies_run_conflict_free_k8() {
                 b.name,
                 strategy.name()
             );
-            let run = session
-                .verified_run(&prog, &a, ArrayPlacement::Interleaved)
+            let run = sim::checked_run(&prog, &a, ArrayPlacement::Interleaved)
                 .unwrap_or_else(|e| panic!("{} {}: {e}", b.name, strategy.name()));
             assert_eq!(
                 run.stats.scalar_conflict_words,
@@ -104,8 +103,7 @@ fn all_benchmarks_verify_on_small_machines() {
             let prog = session.compile(b.source).unwrap();
             let (a, report) = session.assign(&prog);
             assert_eq!(report.residual_conflicts, 0, "{} k={k}", b.name);
-            let run = session
-                .verified_run(&prog, &a, ArrayPlacement::Interleaved)
+            let run = sim::checked_run(&prog, &a, ArrayPlacement::Interleaved)
                 .unwrap_or_else(|e| panic!("{} k={k}: {e}", b.name, k = k));
             assert_eq!(run.stats.scalar_conflict_words, 0, "{} k={k}", b.name);
         }
@@ -208,9 +206,7 @@ fn parmem_bench_speedups() -> Vec<(String, f64)> {
         .map(|b| {
             let prog = session.compile(b.source).unwrap();
             let (a, _) = session.assign(&prog);
-            let run = session
-                .verified_run(&prog, &a, ArrayPlacement::Interleaved)
-                .unwrap();
+            let run = sim::checked_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
             (b.name.to_string(), run.speedup)
         })
         .collect()

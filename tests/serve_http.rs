@@ -5,7 +5,9 @@
 //! * the same assign request twice → byte-identical bodies, the second
 //!   served from the content-addressed cache (hit counter via
 //!   `/v1/stats`), `If-None-Match` revalidation → 304;
-//! * `/v1/exact` returns a certificate and caches it too;
+//! * `/v1/exact` returns a certificate and caches it too, and its body is
+//!   the matching `parmem exact --format json` job object under the serve
+//!   schema;
 //! * saturation (1 worker, zero queue depth, an artificially slow job via
 //!   the `PARMEM_SERVE_DEBUG` seam) → `429` with `Retry-After`;
 //! * drain (`POST /v1/shutdown`, and SIGTERM on unix) finishes the
@@ -206,6 +208,55 @@ fn assign_twice_is_cached_exact_certifies_and_drain_exits_zero() {
     assert_eq!(s6, 200, "{b6}");
     let status = child.wait().expect("child exit");
     assert!(status.success(), "serve exited with {status:?}");
+}
+
+/// A `/v1/exact` body is `{"schema":"parmem-serve-exact/v1",` followed by
+/// the members of the matching job object of `parmem exact --format json`,
+/// with the default budget and with a node budget that leaves SORT's gap
+/// open.
+#[test]
+fn exact_body_is_the_cli_job_object_under_the_serve_schema() {
+    let mut child = spawn_serve(&[], false);
+    let (port, _reader) = wait_for_port(&mut child);
+    let cases = [
+        ("FFT", 2, None),
+        ("FFT", 4, None),
+        ("SORT", 2, None),
+        ("SORT", 4, None),
+        ("SORT", 2, Some(10)),
+    ];
+    for (workload, k, budget_nodes) in cases {
+        let k_arg = k.to_string();
+        let mut cli = vec!["exact", workload, "-k", &k_arg, "--format", "json"];
+        let mut request = format!(r#"{{"workload":"{workload}","k":{k}"#);
+        let budget_arg = budget_nodes.map(|n: u64| n.to_string());
+        if let Some(n) = &budget_arg {
+            cli.extend(["--budget-nodes", n]);
+            request.push_str(&format!(r#","budget_nodes":{n}"#));
+        }
+        request.push('}');
+
+        let out = Command::new(env!("CARGO_BIN_EXE_parmem"))
+            .args(&cli)
+            .output()
+            .expect("run parmem exact");
+        assert!(out.status.success(), "{cli:?}");
+        let report = String::from_utf8(out.stdout).expect("utf-8 report");
+        let job = report
+            .trim_end()
+            .strip_prefix(r#"{"schema":"parmem-exact-report/v1","jobs":[{"#)
+            .and_then(|rest| rest.strip_suffix("]}"))
+            .unwrap_or_else(|| panic!("one job object in {report}"));
+
+        let (status, _, body) = post(port, "/v1/exact", &request);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(
+            body,
+            format!(r#"{{"schema":"parmem-serve-exact/v1",{job}"#),
+            "{request}"
+        );
+    }
+    shutdown(port, child);
 }
 
 #[test]
