@@ -27,7 +27,7 @@ fn main() {
                     bench_session(k).with_unroll(unroll)
                 };
                 let prog = session.compile(b.source).expect("benchmark compiles");
-                let (a, r) = session.assign(&prog);
+                let (a, r) = session.assign(&prog.sched);
                 let run = rliw_sim::checked_run(&prog, &a, ArrayPlacement::Interleaved)
                     .unwrap_or_else(|e| panic!("{} k={k}: {e}", b.name));
                 assert_eq!(run.stats.scalar_conflict_words, 0);

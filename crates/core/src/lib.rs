@@ -70,8 +70,8 @@ pub mod prelude {
         plan as plan_layout, ArrayPolicy, ArrayProfile, ArrayScheme, MemoryLayout, PlannedArray,
     };
     pub use crate::strategies::{
-        exact_solver_installed, install_exact_solver, run_strategy, RegionizedTrace, Strategy,
-        StrategyInfo, STRATEGY_REGISTRY,
+        install_exact_solver, run_strategy, RegionizedTrace, Strategy, StrategyInfo,
+        STRATEGY_REGISTRY,
     };
     pub use crate::types::{AccessTrace, Instructions, ModuleId, ModuleSet, ValueId};
 }

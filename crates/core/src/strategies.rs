@@ -9,7 +9,7 @@
 //!   into two groups processed one after the other (values assigned by the
 //!   first group stay fixed for the second).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -54,28 +54,6 @@ impl RegionizedTrace {
     pub fn whole(trace: AccessTrace) -> Self {
         let end = trace.instructions.len();
         RegionizedTrace::new(trace, vec![end], HashSet::new())
-    }
-
-    /// Regions of `trace` ending at `region_ends` (as for
-    /// [`RegionizedTrace::new`]), with the global set derived automatically:
-    /// a value is global iff it appears in two or more regions.
-    pub fn with_inferred_globals(trace: AccessTrace, region_ends: Vec<usize>) -> Self {
-        let mut rt = RegionizedTrace::new(trace, region_ends, HashSet::new());
-        let mut count: HashMap<ValueId, usize> = HashMap::new();
-        for region in rt.regions() {
-            let vals: HashSet<ValueId> = region
-                .flat_map(|i| rt.trace.instructions[i].iter().copied())
-                .collect();
-            for v in vals {
-                *count.entry(v).or_insert(0) += 1;
-            }
-        }
-        rt.globals = count
-            .into_iter()
-            .filter(|&(_, c)| c > 1)
-            .map(|(v, _)| v)
-            .collect();
-        rt
     }
 
     /// The whole program as one trace, region by region.
@@ -214,11 +192,6 @@ pub fn install_exact_solver(f: ExactSolverFn) -> bool {
     EXACT_SOLVER.set(f).is_ok()
 }
 
-/// Whether an exact solver has been installed.
-pub fn exact_solver_installed() -> bool {
-    EXACT_SOLVER.get().is_some()
-}
-
 /// Run one strategy over a regionized program. The returned report is always
 /// evaluated against the *full* flat trace, so residual-conflict and copy
 /// counts are comparable across strategies.
@@ -308,17 +281,11 @@ mod tests {
         // Region 0 uses {1,2,3,10}, region 1 uses {4,5,6,10}; V10 is global.
         // Each region's conflict graph is 3-colorable (no K4), so STOR1 can
         // solve the whole program without duplication.
-        RegionizedTrace::with_inferred_globals(
+        RegionizedTrace::new(
             AccessTrace::from_lists(3, &[&[1, 2, 10], &[2, 3, 10], &[4, 5, 10], &[5, 6, 10]]),
             vec![2, 4],
+            HashSet::from([ValueId(10)]),
         )
-    }
-
-    #[test]
-    fn globals_are_inferred() {
-        let rt = sample_program();
-        assert_eq!(rt.globals.len(), 1);
-        assert!(rt.globals.contains(&ValueId(10)));
     }
 
     #[test]
@@ -399,10 +366,8 @@ mod tests {
 
     #[test]
     fn single_region_program_all_strategies_agree_on_freedom() {
-        let rt = RegionizedTrace::with_inferred_globals(
-            AccessTrace::from_lists(4, &[&[1, 2, 3, 4], &[1, 2, 3, 5]]),
-            vec![2],
-        );
+        let rt =
+            RegionizedTrace::whole(AccessTrace::from_lists(4, &[&[1, 2, 3, 4], &[1, 2, 3, 5]]));
         for s in [Strategy::Stor1, Strategy::Stor2, Strategy::STOR3] {
             let (_, r) = run_strategy(&rt, s, &AssignParams::default());
             assert_eq!(r.residual_conflicts, 0, "{}", s.name());

@@ -11,7 +11,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use liw_sched::MachineSpec;
 use parmem_core::assignment::{Assignment, AssignmentReport};
 use parmem_core::types::{AccessTrace, ModuleId, ModuleSet};
 use parmem_obs::digest::Fnv1a;
@@ -39,10 +38,9 @@ pub struct JobSpec {
     /// Pre-computed front-end TAC for this (source, unroll) pair. When set
     /// the frontend stage clones it instead of re-parsing — parmem-serve's
     /// intermediate cache threads hits through here. Correctness contract:
-    /// the TAC must equal `pipeline::frontend(&source, &session.opts)`
-    /// output (the front end depends on the source and `opts.unroll` only,
-    /// never on `k`/strategy/optimizer, so one TAC serves every machine
-    /// size).
+    /// the TAC must equal [`Session::frontend`]'s output for `source` (the
+    /// front end depends on the source and `opts.unroll` only, never on
+    /// `k`/strategy/optimizer, so one TAC serves every machine size).
     pub frontend_tac: Option<Arc<liw_ir::TacProgram>>,
 }
 
@@ -260,19 +258,9 @@ pub fn hash_output(values: &[liw_ir::Value]) -> u64 {
     h.finish()
 }
 
-fn maybe_panic(spec: &JobSpec, stage: StageKind) {
-    if spec.fault == Some(FaultInjection::PanicInStage(stage)) {
-        panic!(
-            "injected panic in stage `{stage}` of job `{}` (k={})",
-            spec.program, spec.session.k
-        );
-    }
-}
-
 /// Run one job with panic isolation: a panic anywhere in the pipeline
 /// becomes a [`JobError::Panic`] result instead of tearing down the caller.
 pub fn run_job(spec: &JobSpec) -> JobResult {
-    parmem_exact::install();
     let mut metrics = JobMetrics::default();
     let outcome = match catch_unwind(AssertUnwindSafe(|| run_stages(spec, &mut metrics))) {
         Ok(r) => r,
@@ -310,12 +298,12 @@ pub fn run_stages(spec: &JobSpec, metrics: &mut JobMetrics) -> Result<JobOutput,
 
 /// Staged pipeline state: holds the spec, the per-stage metrics sink, the
 /// enclosing `job` span, and every intermediate artifact as the stages
-/// produce it. Each stage method applies fault injection, wall-clock/alloc
-/// metering, and obs span wrapping in exactly one place.
+/// produce it. Each stage runs the [`Session`] method that implements it
+/// through one helper that applies fault injection, wall-clock/alloc
+/// metering, and obs span wrapping.
 pub struct PipelineContext<'a> {
     spec: &'a JobSpec,
     metrics: &'a mut JobMetrics,
-    mach: MachineSpec,
     // Held for the whole job so the stage spans nest under it; closes when
     // the context drops (normal completion and early error return alike).
     _job_span: parmem_obs::SpanGuard,
@@ -349,7 +337,6 @@ impl<'a> PipelineContext<'a> {
         PipelineContext {
             spec,
             metrics,
-            mach: spec.session.machine(),
             _job_span: job_span,
             tac: None,
             sched: None,
@@ -368,53 +355,66 @@ impl<'a> PipelineContext<'a> {
         }
     }
 
+    /// Run `body` as stage `kind`: the injected panic first, then `body`
+    /// under the stage's timer and `stage.*` span. The stage's metrics are
+    /// recorded when `body` succeeds; a failed stage records none.
+    fn stage<T>(
+        &mut self,
+        kind: StageKind,
+        body: impl FnOnce(&mut Self) -> Result<T, JobError>,
+    ) -> Result<T, JobError> {
+        if self.spec.fault == Some(FaultInjection::PanicInStage(kind)) {
+            panic!(
+                "injected panic in stage `{kind}` of job `{}` (k={})",
+                self.spec.program, self.spec.session.k
+            );
+        }
+        let t = StageTimer::start();
+        let out = {
+            let _sp = parmem_obs::span(kind.span_name());
+            body(self)?
+        };
+        self.metrics.push(kind, t.stop());
+        Ok(out)
+    }
+
+    fn tac(&self) -> &liw_ir::TacProgram {
+        self.tac.as_ref().expect("frontend ran")
+    }
+
+    fn sched(&self) -> &liw_sched::SchedProgram {
+        self.sched.as_ref().expect("schedule ran")
+    }
+
     /// Stage 1: front end (parse + lower to TAC), or a clone of the spec's
     /// cached TAC when one was supplied.
     pub fn frontend(&mut self) -> Result<(), JobError> {
-        maybe_panic(self.spec, StageKind::Frontend);
-        let t = StageTimer::start();
-        let tac = {
-            let _sp = parmem_obs::span(StageKind::Frontend.span_name());
-            match &self.spec.frontend_tac {
-                Some(cached) => (**cached).clone(),
-                None => pipeline::frontend(&self.spec.source, &self.spec.session.opts)
-                    .map_err(|e| JobError::Compile(e.to_string()))?,
-            }
-        };
-        self.metrics.push(StageKind::Frontend, t.stop());
+        let tac = self.stage(StageKind::Frontend, |cx| match &cx.spec.frontend_tac {
+            Some(cached) => Ok((**cached).clone()),
+            None => cx
+                .spec
+                .session
+                .frontend(&cx.spec.source)
+                .map_err(|e| JobError::Compile(e.to_string())),
+        })?;
         self.tac = Some(tac);
         Ok(())
     }
 
     /// Stage 2: optimizer.
     pub fn optimize(&mut self) {
-        maybe_panic(self.spec, StageKind::Optimize);
-        let t = StageTimer::start();
-        let tac = {
-            let _sp = parmem_obs::span(StageKind::Optimize.span_name());
-            pipeline::optimize_stage(
-                self.tac.as_ref().expect("frontend ran"),
-                self.mach,
-                &self.spec.session.opts,
-            )
-        };
-        self.metrics.push(StageKind::Optimize, t.stop());
-        self.tac = Some(tac);
+        let tac = self.stage(StageKind::Optimize, |cx| {
+            Ok(cx.spec.session.optimize(cx.tac()))
+        });
+        self.tac = Some(tac.expect("the optimizer does not fail"));
     }
 
     /// Stage 3: scheduler (renaming + list scheduling into long words).
     pub fn schedule(&mut self) {
-        maybe_panic(self.spec, StageKind::Schedule);
-        let t = StageTimer::start();
-        let (sched, webs) = {
-            let _sp = parmem_obs::span(StageKind::Schedule.span_name());
-            pipeline::schedule_stage(
-                self.tac.as_ref().expect("frontend ran"),
-                self.mach,
-                &self.spec.session.opts,
-            )
-        };
-        self.metrics.push(StageKind::Schedule, t.stop());
+        let scheduled = self.stage(StageKind::Schedule, |cx| {
+            Ok(cx.spec.session.schedule(cx.tac()))
+        });
+        let (sched, webs) = scheduled.expect("the scheduler does not fail");
         self.sched = Some(sched);
         self.webs = Some(webs);
     }
@@ -422,20 +422,15 @@ impl<'a> PipelineContext<'a> {
     /// Stage 4: module assignment under the spec's strategy. Fails when
     /// residual conflicts remain; applies `CorruptAssignment` afterwards.
     pub fn assign(&mut self) -> Result<(), JobError> {
-        maybe_panic(self.spec, StageKind::Assign);
-        let sched = self.sched.as_ref().expect("schedule ran");
-        let t = StageTimer::start();
-        let (mut assignment, assign_report) = {
-            let _sp = parmem_obs::span(StageKind::Assign.span_name());
-            pipeline::assign(sched, self.spec.session.strategy, &self.spec.session.params)
-        };
-        self.metrics.push(StageKind::Assign, t.stop());
+        let (mut assignment, assign_report) = self.stage(StageKind::Assign, |cx| {
+            Ok(cx.spec.session.assign(cx.sched()))
+        })?;
         if assign_report.residual_conflicts > 0 {
             return Err(JobError::Assign {
                 residual_conflicts: assign_report.residual_conflicts,
             });
         }
-        let trace = sched.access_trace();
+        let trace = self.sched().access_trace();
         if self.spec.fault == Some(FaultInjection::CorruptAssignment) {
             if let Some(inst) = trace.instructions.iter().find(|i| i.len() >= 2) {
                 for &v in inst {
@@ -450,47 +445,40 @@ impl<'a> PipelineContext<'a> {
     }
 
     /// Stage 5: independent verification (`parmem-verify::verify_pipeline`,
-    /// the checks of `verify_all` on the scheduler's webs and the assign
-    /// stage's trace). PM008 compares its static prediction with the
-    /// simulate stage's execution; when another check already fails, the
-    /// job ends here and PM008 runs the program itself, so the error
-    /// carries the full report.
+    /// the checks of `verify_all` on the scheduler's webs and on the
+    /// block-major `access_trace()` the assign stage published, which
+    /// PM009 compares with its own rebuild; STOR1, STOR3 and EXACT assigned
+    /// on the region-major trace instead). PM008 compares its static
+    /// prediction with the simulate stage's execution; when another check
+    /// already fails, the job ends here and PM008 runs the program itself,
+    /// so the error carries the full report.
     pub fn verify(&mut self) -> Result<(), JobError> {
-        maybe_panic(self.spec, StageKind::Verify);
-        let sched = self.sched.as_ref().expect("schedule ran");
-        let assignment = self.assignment.as_ref().expect("assign ran");
-        let t = StageTimer::start();
-        let pending = {
-            let _sp = parmem_obs::span(StageKind::Verify.span_name());
+        let pending = self.stage(StageKind::Verify, |cx| {
+            let webs = cx.webs.take().expect("schedule ran");
+            let (sched, assignment) = (cx.sched(), cx.assignment.as_ref().expect("assign ran"));
             let pending = parmem_verify::verify_pipeline(
-                self.tac.as_ref().expect("frontend ran"),
+                cx.tac(),
                 sched,
-                self.webs.take().expect("schedule ran"),
-                self.trace.as_ref().expect("assign ran"),
+                webs,
+                cx.trace.as_ref().expect("assign ran"),
                 assignment,
-                self.assign_report.as_ref(),
+                cx.assign_report.as_ref(),
             );
-            if pending.is_clean() {
+            Ok(if pending.is_clean() {
                 Ok(pending)
             } else {
                 Err(pending.finish_with_own_run(sched, assignment))
-            }
-        };
-        self.metrics.push(StageKind::Verify, t.stop());
+            })
+        })?;
         self.pending_verify = Some(pending.map_err(|report| JobError::Verify { report })?);
         Ok(())
     }
 
     /// Stage 6: reference interpreter over the TAC.
     pub fn reference(&mut self) -> Result<(), JobError> {
-        maybe_panic(self.spec, StageKind::Reference);
-        let t = StageTimer::start();
-        let reference = {
-            let _sp = parmem_obs::span(StageKind::Reference.span_name());
-            liw_ir::run(self.tac.as_ref().expect("frontend ran"))
-                .map_err(|e| JobError::Sim(e.to_string()))?
-        };
-        self.metrics.push(StageKind::Reference, t.stop());
+        let reference = self.stage(StageKind::Reference, |cx| {
+            liw_ir::run(cx.tac()).map_err(|e| JobError::Sim(e.to_string()))
+        })?;
         self.reference = Some(reference);
         Ok(())
     }
@@ -502,58 +490,45 @@ impl<'a> PipelineContext<'a> {
     /// against the reference output (with the `CorruptOutput` fault applied
     /// in between).
     pub fn simulate(&mut self) -> Result<(), JobError> {
-        maybe_panic(self.spec, StageKind::Simulate);
-        let sched = self.sched.as_ref().expect("schedule ran");
-        let assignment = self.assignment.as_ref().expect("assign ran");
-        let reference = self.reference.as_ref().expect("reference ran");
-        let t = StageTimer::start();
-        let _sim_span = parmem_obs::span(StageKind::Simulate.span_name());
-
-        // Fifth policy: the compile-time plan, verified before it runs.
-        let layout = match self.spec.session.array_policy {
-            None => None,
-            Some(policy) => {
-                let profiles =
-                    parmem_lint::array_stride_profiles(self.tac.as_ref().expect("frontend ran"));
-                let layout = Arc::new(parmem_core::layout::plan(
-                    self.spec.session.k,
-                    policy,
-                    assignment.clone(),
-                    &profiles,
-                ));
-                let check = parmem_verify::verify_layout(&layout, layout.digest());
-                if !check.is_clean() {
-                    return Err(JobError::Verify { report: check });
+        let (run, planned, verify) = self.stage(StageKind::Simulate, |cx| {
+            let session = &cx.spec.session;
+            let assignment = cx.assignment.as_ref().expect("assign ran");
+            // Fifth policy: the compile-time plan, verified before it runs.
+            let layout = match session.array_policy {
+                None => None,
+                Some(_) => {
+                    let layout = Arc::new(session.plan_layout(cx.tac(), assignment));
+                    let check = parmem_verify::verify_layout(&layout, layout.digest());
+                    if !check.is_clean() {
+                        return Err(JobError::Verify { report: check });
+                    }
+                    Some(layout)
                 }
-                Some(layout)
-            }
-        };
-        let run = pipeline::table2_row(
-            &self.spec.program,
-            sched,
-            assignment,
-            self.spec.session.seed,
-            layout.clone(),
-        )
-        .map_err(|e| JobError::Sim(e.to_string()))?;
-        let planned = layout.map(|layout| PlannedSummary {
-            policy: layout.policy.name(),
-            layout_digest: layout.digest(),
-            transfer_time: run.t_planned.expect("planned layout was costed"),
-            t_ave_model: run.row.t_ave_analytic,
-            arrays: layout.arrays.len(),
-        });
-        // PM008 reads this execution instead of running the program again.
-        let verify = self
-            .pending_verify
-            .take()
-            .expect("verify ran")
-            .finish(Some(&run.ideal));
-        drop(_sim_span);
-        self.metrics.push(StageKind::Simulate, t.stop());
+            };
+            let run = pipeline::table2_row(
+                &cx.spec.program,
+                cx.sched(),
+                assignment,
+                session.seed,
+                layout.clone(),
+            )
+            .map_err(|e| JobError::Sim(e.to_string()))?;
+            let planned = layout.map(|layout| PlannedSummary {
+                policy: layout.policy.name(),
+                layout_digest: layout.digest(),
+                transfer_time: run.t_planned.expect("planned layout was costed"),
+                t_ave_model: run.row.t_ave_analytic,
+                arrays: layout.arrays.len(),
+            });
+            // PM008 reads this execution instead of running the program again.
+            let pending = cx.pending_verify.take().expect("verify ran");
+            let verify = pending.finish(Some(&run.ideal));
+            Ok((run, planned, verify))
+        })?;
         if !verify.is_clean() {
             return Err(JobError::Verify { report: verify });
         }
+        let reference = self.reference.as_ref().expect("reference ran");
         let inter = run.interleaved;
         let mut simulated = inter.output;
         if self.spec.fault == Some(FaultInjection::CorruptOutput) {
@@ -586,18 +561,16 @@ impl<'a> PipelineContext<'a> {
     /// Optional stage 8: exact-solver gap measurement, when the spec asked
     /// for it.
     pub fn exact_gap(&mut self) -> Result<(), JobError> {
-        let Some(cfg) = &self.spec.session.exact_gap else {
+        let Some(cfg) = self.spec.session.exact_gap else {
             return Ok(());
         };
-        maybe_panic(self.spec, StageKind::ExactGap);
-        let trace = self.trace.as_ref().expect("assign ran");
-        let t = StageTimer::start();
-        let g = {
-            let _sp = parmem_obs::span(StageKind::ExactGap.span_name());
-            ExactGap::measure(trace, cfg)
-        };
-        self.metrics.push(StageKind::ExactGap, t.stop());
-        self.gap = Some(g);
+        let gap = self.stage(StageKind::ExactGap, |cx| {
+            Ok(ExactGap::measure(
+                cx.trace.as_ref().expect("assign ran"),
+                &cfg,
+            ))
+        })?;
+        self.gap = Some(gap);
         Ok(())
     }
 
@@ -751,7 +724,7 @@ mod tests {
     #[test]
     fn cached_frontend_tac_reproduces_uncached_output() {
         let spec = Session::new(4).job("J", ARRAY_SRC);
-        let tac = rliw_sim::pipeline::frontend(&spec.source, &spec.session.opts).unwrap();
+        let tac = spec.session.frontend(&spec.source).unwrap();
         let cached = run_job(&spec.clone().with_frontend_tac(Arc::new(tac)));
         let direct = run_job(&spec);
         let c = cached.outcome.expect("cached ok");

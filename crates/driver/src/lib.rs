@@ -11,11 +11,13 @@
 //!
 //! * [`Session`] owns the shared configuration (module count, storage
 //!   strategy, compile options, assignment parameters, seeds, optional
-//!   exact-gap stage, array policy) and mints [`JobSpec`]s, which carry
-//!   it, or runs programs directly;
-//! * [`PipelineContext`] executes the stages one at a time, applying fault
-//!   injection, per-stage wall/alloc metrics, and obs span wrapping in
-//!   exactly one place — [`run_job`] adds panic isolation on top;
+//!   exact-gap stage, array policy), holds the one implementation of each
+//!   compile stage, and mints [`JobSpec`]s, which carry it, or runs
+//!   programs directly;
+//! * [`PipelineContext`] executes the stages one at a time through those
+//!   methods, applying fault injection, per-stage wall/alloc metrics, and
+//!   obs span wrapping in exactly one place — [`run_job`] adds panic
+//!   isolation on top;
 //! * [`ExactGap`] is the one heuristic-vs-exact gap measurement, shared
 //!   by the `exact_gap` stage, `parmem exact`, `parmem verify --exact`,
 //!   serve's `/v1/exact` and the `exact_gaps` bench;
@@ -42,5 +44,5 @@ pub use job::{
     hash_output, run_job, run_stages, FaultInjection, JobError, JobOutput, JobResult, JobSpec,
     PipelineContext, PlannedSummary,
 };
-pub use session::{Session, DEFAULT_SEED};
+pub use session::{CompileOptions, Session, DEFAULT_SEED};
 pub use telemetry::{TelemetryConfig, TelemetryGuard};

@@ -1,9 +1,10 @@
 //! The pipeline session: one place that owns compile options, strategy
-//! selection, assignment parameters, and seeds, and mints/runs jobs from
-//! them.
+//! selection, assignment parameters, and seeds, holds the one
+//! implementation of each compile stage, and mints/runs jobs from them.
 //!
 //! A [`Session`] is cheap to build and copy around; it is the façade every
-//! consumer uses instead of chaining `rliw_sim::pipeline` stages by hand:
+//! consumer uses instead of chaining the front end, optimizer, scheduler
+//! and storage strategies by hand:
 //!
 //! ```
 //! use parmem_driver::Session;
@@ -16,19 +17,43 @@
 
 use liw_ir::tac::TacProgram;
 use liw_ir::unroll::UnrollConfig;
-use liw_sched::MachineSpec;
+use liw_ir::Webs;
+use liw_sched::{MachineSpec, SchedProgram, ScheduleOptions};
 use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
 use parmem_core::layout::{ArrayPolicy, MemoryLayout};
-use parmem_core::strategies::Strategy;
+use parmem_core::strategies::{run_strategy, RegionizedTrace, Strategy};
 use parmem_obs::digest::Fnv1a;
 use parmem_verify::VerifyReport;
-use rliw_sim::pipeline::{CompileOptions, CompiledProgram, PipelineError};
+use rliw_sim::pipeline::{CompiledProgram, PipelineError};
 
 use crate::job::{run_job, JobResult, JobSpec};
 
 /// The placement seed of [`Session::new`], and so of every CLI subcommand
 /// and serve request that names no `seed`.
 pub const DEFAULT_SEED: u64 = 0xC0FFEE;
+
+/// Front-end configuration.
+#[derive(Clone, Copy, Debug)]
+pub struct CompileOptions {
+    /// Innermost-loop unrolling before lowering.
+    pub unroll: Option<UnrollConfig>,
+    /// Run the `liw-opt` scalar optimizer (value numbering, DCE, CFG
+    /// simplification) before scheduling.
+    pub optimize: bool,
+    /// Rename variables into per-definition data values (webs); `false` is
+    /// the ablation of the paper's §3 renaming remark.
+    pub rename: bool,
+}
+
+impl Default for CompileOptions {
+    fn default() -> Self {
+        CompileOptions {
+            unroll: None,
+            optimize: true,
+            rename: true,
+        }
+    }
+}
 
 /// Pipeline configuration shared by every job a caller mints: module count,
 /// storage strategy, front-end options, assignment tunables, placement
@@ -73,12 +98,6 @@ impl Session {
     /// Replace the strategy.
     pub fn with_strategy(mut self, s: Strategy) -> Session {
         self.strategy = s;
-        self
-    }
-
-    /// Replace the front-end options.
-    pub fn with_opts(mut self, opts: CompileOptions) -> Session {
-        self.opts = opts;
         self
     }
 
@@ -215,7 +234,7 @@ impl Session {
     /// instrumentation of the full job runner (callers that need per-stage
     /// observability use [`Session::run`]).
     pub fn compile(&self, source: &str) -> Result<CompiledProgram, PipelineError> {
-        rliw_sim::pipeline::compile_with(source, self.machine(), self.opts)
+        Ok(self.compile_tac(&self.frontend(source)?))
     }
 
     /// Front end only: parse (and optionally unroll) to TAC. The result
@@ -224,34 +243,67 @@ impl Session {
     /// cross-`k` caching (parmem-serve keys its intermediate cache on
     /// exactly this stage's inputs).
     pub fn frontend(&self, source: &str) -> Result<TacProgram, PipelineError> {
-        rliw_sim::pipeline::frontend(source, &self.opts)
+        match self.opts.unroll {
+            None => liw_ir::compile(source),
+            Some(cfg) => liw_ir::compile_unrolled(source, cfg),
+        }
+    }
+
+    /// The scalar optimizer, or a clone when `opts.optimize` is off. A
+    /// `select` reads three scalars, so if-conversion is only legal on
+    /// machines with at least three memory ports (on a 2-port machine a
+    /// select word could never be conflict-free).
+    pub fn optimize(&self, tac: &TacProgram) -> TacProgram {
+        if !self.opts.optimize {
+            return tac.clone();
+        }
+        let cfg = liw_opt::OptConfig {
+            if_convert: self.machine().mem_ports >= 3,
+        };
+        liw_opt::optimize_with(tac, cfg).0
+    }
+
+    /// Long-instruction-word list scheduling. Also returns the webs the
+    /// program was renamed with, for the verifier's renaming check.
+    pub fn schedule(&self, tac: &TacProgram) -> (SchedProgram, Webs) {
+        let opts = ScheduleOptions {
+            rename: self.opts.rename,
+        };
+        liw_sched::schedule_with(tac, self.machine(), opts)
     }
 
     /// Finish compilation from an already-front-ended TAC: optimize (which
     /// *does* depend on the machine — if-conversion needs ≥ 3 memory
-    /// ports) and schedule. `compile(src)` ≡ `compile_tac(&frontend(src)?)`.
+    /// ports) and schedule.
     pub fn compile_tac(&self, tac: &TacProgram) -> CompiledProgram {
-        let spec = self.machine();
-        let tac = rliw_sim::pipeline::optimize_stage(tac, spec, &self.opts);
-        let (sched, _) = rliw_sim::pipeline::schedule_stage(&tac, spec, &self.opts);
+        let tac = self.optimize(tac);
+        let (sched, _) = self.schedule(&tac);
         CompiledProgram { tac, sched }
     }
 
-    /// Plan the unified compile-time [`MemoryLayout`] for a compiled
-    /// program and its scalar assignment: per-array profiles come from the
-    /// lint crate's induction-variable stride analysis over the (optimized)
-    /// TAC, the policy from the session (defaulting to `Auto` when the
-    /// session has none set).
-    pub fn plan_layout(&self, prog: &CompiledProgram, assignment: &Assignment) -> MemoryLayout {
+    /// Plan the unified compile-time [`MemoryLayout`] for a program's
+    /// (optimized) TAC and its scalar assignment: per-array profiles come
+    /// from the lint crate's induction-variable stride analysis, the policy
+    /// from the session (defaulting to `Auto` when the session has none
+    /// set).
+    pub fn plan_layout(&self, tac: &TacProgram, assignment: &Assignment) -> MemoryLayout {
         let policy = self.array_policy.unwrap_or(ArrayPolicy::Auto);
-        let profiles = parmem_lint::array_stride_profiles(&prog.tac);
+        let profiles = parmem_lint::array_stride_profiles(tac);
         parmem_core::layout::plan(self.k, policy, assignment.clone(), &profiles)
     }
 
-    /// Assign memory modules to a compiled program's trace under this
-    /// session's strategy and parameters.
-    pub fn assign(&self, prog: &CompiledProgram) -> (Assignment, AssignmentReport) {
-        rliw_sim::pipeline::assign(&prog.sched, self.strategy, &self.params)
+    /// Assign memory modules to a scheduled program's trace, taken region
+    /// by region, under this session's strategy and parameters. Only STOR2
+    /// reads where the regions end and which values cross them, so only
+    /// STOR2 pays for working that out. EXACT's solver is installed here,
+    /// so no caller can get STOR1's fallback for it.
+    pub fn assign(&self, sched: &SchedProgram) -> (Assignment, AssignmentReport) {
+        parmem_exact::install();
+        let rt = match self.strategy {
+            Strategy::Stor2 => sched.regionized_trace(),
+            _ => RegionizedTrace::whole(sched.region_major_trace()),
+        };
+        run_strategy(&rt, self.strategy, &self.params)
     }
 
     /// Independently verify a compiled program and its assignment
@@ -291,12 +343,12 @@ impl Session {
         let opts = parmem_lint::LintOptions { modules: self.k };
         let diags = parmem_lint::lint_program(&prog.tac, &opts);
         let predict = if predict {
-            let (assignment, _) = self.assign(prog);
+            let (assignment, _) = self.assign(&prog.sched);
             let report = match self.array_policy {
                 // With a policy set, also measure the planned layout so the
                 // report carries per-policy predicted-vs-measured rows.
                 Some(_) => {
-                    let layout = std::sync::Arc::new(self.plan_layout(prog, &assignment));
+                    let layout = std::sync::Arc::new(self.plan_layout(&prog.tac, &assignment));
                     parmem_lint::compare_with_layouts(
                         &prog.sched,
                         &assignment,
@@ -345,7 +397,7 @@ mod tests {
     fn session_compile_assign_verify_roundtrip() {
         let s = Session::new(4).with_strategy(Strategy::STOR3);
         let prog = s.compile(SRC).unwrap();
-        let (a, rep) = s.assign(&prog);
+        let (a, rep) = s.assign(&prog.sched);
         assert_eq!(rep.residual_conflicts, 0);
         let v = s.verify(&prog, &a, Some(&rep));
         assert!(v.is_clean(), "{v}");
@@ -460,8 +512,8 @@ mod tests {
         for policy in ArrayPolicy::CONCRETE {
             let s = Session::new(4).with_array_policy(policy);
             let prog = s.compile(ARRAY_SRC).unwrap();
-            let (a, _) = s.assign(&prog);
-            let layout = s.plan_layout(&prog, &a);
+            let (a, _) = s.assign(&prog.sched);
+            let layout = s.plan_layout(&prog.tac, &a);
             assert_eq!(layout.policy, policy);
             assert_eq!(layout.arrays.len(), 1);
             let v = parmem_verify::verify_layout(&layout, layout.digest());
@@ -470,8 +522,8 @@ mod tests {
         // No policy on the session: plan_layout falls back to Auto.
         let s = Session::new(4);
         let prog = s.compile(ARRAY_SRC).unwrap();
-        let (a, _) = s.assign(&prog);
-        assert_eq!(s.plan_layout(&prog, &a).policy, ArrayPolicy::Auto);
+        let (a, _) = s.assign(&prog.sched);
+        assert_eq!(s.plan_layout(&prog.tac, &a).policy, ArrayPolicy::Auto);
     }
 
     #[test]

@@ -283,8 +283,9 @@ pub fn solve_certificate(trace: &AccessTrace, cfg: &ExactConfig) -> Certificate 
 }
 
 /// Register this crate as the [`parmem_core::Strategy::Exact`] backend
-/// (idempotent; first caller wins). The CLI, batch engine, and bench
-/// harness all call this on startup.
+/// (idempotent; first caller wins). `parmem-driver`'s `Session::assign`
+/// calls this before it dispatches a strategy, so every pipeline path that
+/// asks for EXACT runs the solver.
 pub fn install() {
     parmem_core::strategies::install_exact_solver(solver_entry);
 }

@@ -61,18 +61,6 @@ impl Webs {
     pub fn of_entry(&self, var: VarId) -> Option<u32> {
         self.def_web.get(&DefSite::Entry(var)).copied()
     }
-
-    /// Number of webs belonging to each variable (diagnostic).
-    pub fn webs_per_var(&self, n_vars: usize) -> Vec<usize> {
-        let mut count = vec![0usize; n_vars];
-        let mut seen = std::collections::HashSet::new();
-        for (w, v) in self.web_var.iter().enumerate() {
-            if seen.insert(w) {
-                count[v.index()] += 1;
-            }
-        }
-        count
-    }
 }
 
 struct UnionFind {
@@ -497,7 +485,10 @@ mod tests {
     fn temps_are_single_def_webs() {
         let p = compile("program t; var x, y: int; begin x := y * 2 + 3; end.");
         let w = compute_webs(&p);
-        let per_var = w.webs_per_var(p.vars.len());
+        let mut per_var = vec![0usize; p.vars.len()];
+        for v in &w.web_var {
+            per_var[v.index()] += 1;
+        }
         for (vi, info) in p.vars.iter().enumerate() {
             if info.is_temp {
                 // temp + its entry def can make 2 webs at most.

@@ -10,7 +10,7 @@ use parmem_lint::{compare, T_AVE_TOLERANCE};
 fn check(name: &str, source: &str, k: usize, seed: u64) {
     let session = Session::new(k).with_seed(seed);
     let prog = session.compile(source).expect(name);
-    let (assignment, _) = session.assign(&prog);
+    let (assignment, _) = session.assign(&prog.sched);
     let rep = compare(&prog.sched, &assignment, seed)
         .unwrap_or_else(|e| panic!("{name} k={k}: simulation failed: {e}"));
 

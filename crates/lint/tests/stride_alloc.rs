@@ -7,26 +7,18 @@
 //! solve only for the variables that can reach a subscript, so the bound
 //! holds however many other variables the program carries.
 
-use liw_ir::unroll::UnrollConfig;
-use liw_sched::MachineSpec;
+use parmem_driver::Session;
 use parmem_obs::alloc::{alloc_counters, CountingAlloc};
-use rliw_sim::pipeline::{frontend, optimize_stage, CompileOptions};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn stride_profiles_of_unrolled_exact_allocate_under_8_mib() {
-    let opts = CompileOptions {
-        unroll: Some(UnrollConfig {
-            factor: 4,
-            max_body_stmts: 16,
-        }),
-        ..CompileOptions::default()
-    };
+    let session = Session::new(4).with_unroll(4);
     let src = workloads::by_name("EXACT").expect("EXACT workload").source;
-    let tac = frontend(src, &opts).expect("EXACT compiles");
-    let tac = optimize_stage(&tac, MachineSpec::with_modules(4), &opts);
+    let tac = session.frontend(src).expect("EXACT compiles");
+    let tac = session.optimize(&tac);
 
     let (before, _) = alloc_counters();
     let profiles = parmem_lint::array_stride_profiles(&tac);

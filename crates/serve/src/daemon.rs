@@ -543,7 +543,7 @@ fn compute_assign(api: &ApiRequest, inter: &IntermediateCache) -> Result<String,
         Source::Text(src) => {
             let prog = compile_via_cache(session, inter, src)?;
             let trace = prog.sched.access_trace();
-            let (assignment, report) = session.assign(&prog);
+            let (assignment, report) = session.assign(&prog.sched);
             (trace, assignment, report)
         }
         Source::Synth(spec) => {

@@ -10,9 +10,10 @@
 //! and a choice of array storage policies, and also evaluates the paper's
 //! analytic `t_ave = Σ i·Δ·p(i)` model exactly per executed word.
 //!
-//! The [`pipeline`] module chains the whole system:
-//! source → IR → schedule → assignment → simulation, with outputs
-//! cross-checked against the `liw-ir` reference interpreter.
+//! The [`pipeline`] module holds what a run of a compiled program
+//! measures: the Table 2 row under every array policy, and a simulation
+//! cross-checked against the `liw-ir` reference interpreter. The compile
+//! stages that produce a program live in `parmem-driver`.
 
 pub mod arrays;
 pub mod machine;
@@ -21,7 +22,4 @@ pub mod pipeline;
 
 pub use arrays::{uniform_seed, ArrayPlacement};
 pub use machine::{run, run_policies, run_policies_with_fuel, run_with_fuel, SimError, SimStats};
-pub use pipeline::{
-    assign, checked_run, compile_with, table2_row, CompileOptions, CompiledProgram, Table2Row,
-    Table2Run, VerifiedRun,
-};
+pub use pipeline::{checked_run, table2_row, CompiledProgram, Table2Row, Table2Run, VerifiedRun};

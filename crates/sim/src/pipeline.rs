@@ -1,18 +1,15 @@
-//! End-to-end glue: MiniLang source → TAC → scheduled long words → memory
-//! module assignment → simulated execution. This is the programmatic API the
-//! benchmark harness, the batch engine, and examples drive; each stage is
-//! also individually invokable ([`frontend`], [`optimize_stage`],
-//! [`schedule_stage`], [`assign`]) so callers can time and instrument them
-//! separately.
+//! What a compiled program is, and what executing it measures: the
+//! [`CompiledProgram`] a session compiles, the Table 2 run under every
+//! array policy ([`table2_row`]), and one simulation cross-checked against
+//! the reference interpreter ([`checked_run`]). The compile stages that
+//! produce a program live in `parmem-driver`'s `Session`.
 
 use std::sync::Arc;
 
 use liw_ir::tac::TacProgram;
-use liw_ir::Webs;
-use liw_sched::{MachineSpec, SchedProgram};
-use parmem_core::assignment::{AssignParams, Assignment, AssignmentReport};
+use liw_sched::SchedProgram;
+use parmem_core::assignment::Assignment;
 use parmem_core::layout::MemoryLayout;
-use parmem_core::strategies::{run_strategy, RegionizedTrace, Strategy};
 
 use crate::arrays::ArrayPlacement;
 use crate::machine::{self, SimError, SimStats};
@@ -29,96 +26,6 @@ pub struct CompiledProgram {
     pub tac: TacProgram,
     /// Scheduled long-word form (runs on the RLIW simulator).
     pub sched: SchedProgram,
-}
-
-/// Full front-end configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct CompileOptions {
-    /// Innermost-loop unrolling before lowering.
-    pub unroll: Option<liw_ir::unroll::UnrollConfig>,
-    /// Run the `liw-opt` scalar optimizer (value numbering, DCE, CFG
-    /// simplification) before scheduling.
-    pub optimize: bool,
-    /// Rename variables into per-definition data values (webs); `false` is
-    /// the ablation of the paper's §3 renaming remark.
-    pub rename: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            unroll: None,
-            optimize: true,
-            rename: true,
-        }
-    }
-}
-
-/// Stage 1 — front end: parse (and optionally unroll) MiniLang source, lower
-/// to TAC.
-pub fn frontend(src: &str, opts: &CompileOptions) -> Result<TacProgram, PipelineError> {
-    match opts.unroll {
-        None => liw_ir::compile(src),
-        Some(cfg) => liw_ir::compile_unrolled(src, cfg),
-    }
-}
-
-/// Stage 2 — scalar optimizer. A no-op clone when `opts.optimize` is false.
-/// A `select` reads three scalars, so if-conversion is only legal on
-/// machines with at least three memory ports (on a 2-port machine a select
-/// word could never be conflict-free).
-pub fn optimize_stage(tac: &TacProgram, spec: MachineSpec, opts: &CompileOptions) -> TacProgram {
-    if opts.optimize {
-        let cfg = liw_opt::OptConfig {
-            if_convert: spec.mem_ports >= 3,
-        };
-        liw_opt::optimize_with(tac, cfg).0
-    } else {
-        tac.clone()
-    }
-}
-
-/// Stage 3 — long-instruction-word list scheduling. Also returns the webs
-/// the program was renamed with, for the verifier's renaming check.
-pub fn schedule_stage(
-    tac: &TacProgram,
-    spec: MachineSpec,
-    opts: &CompileOptions,
-) -> (SchedProgram, Webs) {
-    liw_sched::schedule_with(
-        tac,
-        spec,
-        liw_sched::ScheduleOptions {
-            rename: opts.rename,
-        },
-    )
-}
-
-/// Compile with explicit front-end options (stages 1–3 chained).
-pub fn compile_with(
-    src: &str,
-    spec: MachineSpec,
-    opts: CompileOptions,
-) -> Result<CompiledProgram, PipelineError> {
-    let tac = frontend(src, &opts)?;
-    let tac = optimize_stage(&tac, spec, &opts);
-    let (sched, _) = schedule_stage(&tac, spec, &opts);
-    Ok(CompiledProgram { tac, sched })
-}
-
-/// Stage 4 — run a storage strategy over the scheduled program's trace,
-/// taken region by region. Only STOR2 reads where the regions end and
-/// which values cross them, so only STOR2 pays for working that out.
-pub fn assign(
-    sched: &SchedProgram,
-    strategy: Strategy,
-    params: &AssignParams,
-) -> (Assignment, AssignmentReport) {
-    let rt = match strategy {
-        Strategy::Stor2 => sched.regionized_trace(),
-        _ => RegionizedTrace::whole(sched.region_major_trace()),
-    };
-    run_strategy(&rt, strategy, params)
 }
 
 /// The paper's Table 2 measurements for one program: transfer time under
@@ -295,6 +202,9 @@ pub fn checked_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liw_sched::MachineSpec;
+    use parmem_core::assignment::{AssignParams, AssignmentReport};
+    use parmem_core::strategies::{run_strategy, Strategy};
 
     const PROG: &str = "program demo; var a: array[32] of real; i: int; s: real;
         begin
@@ -304,19 +214,21 @@ mod tests {
           print s;
         end.";
 
-    /// The program for a `k`-module machine with the optimizer off.
+    /// The program for a `k`-module machine, unoptimized.
     fn compile(src: &str, k: usize) -> CompiledProgram {
-        let opts = CompileOptions {
-            optimize: false,
-            ..CompileOptions::default()
-        };
-        compile_with(src, MachineSpec::with_modules(k), opts).unwrap()
+        let tac = liw_ir::compile(src).unwrap();
+        let sched = liw_sched::schedule(&tac, MachineSpec::with_modules(k));
+        CompiledProgram { tac, sched }
+    }
+
+    fn assign(sched: &SchedProgram, s: Strategy) -> (Assignment, AssignmentReport) {
+        run_strategy(&sched.regionized_trace(), s, &AssignParams::default())
     }
 
     #[test]
     fn table2_row_orders_policies() {
         let prog = compile(PROG, 8);
-        let (a, _) = assign(&prog.sched, Strategy::Stor1, &AssignParams::default());
+        let (a, _) = assign(&prog.sched, Strategy::Stor1);
         let row = table2_row("demo", &prog.sched, &a, 42, None).unwrap().row;
         assert!(row.t_min <= row.t_ave_measured);
         assert!(row.t_ave_measured <= row.t_max);
@@ -337,7 +249,7 @@ mod tests {
     fn strategies_all_verify() {
         let prog = compile(PROG, 8);
         for s in [Strategy::Stor1, Strategy::Stor2, Strategy::STOR3] {
-            let (a, r) = assign(&prog.sched, s, &AssignParams::default());
+            let (a, r) = assign(&prog.sched, s);
             assert_eq!(r.residual_conflicts, 0, "{}", s.name());
             let run = checked_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
             assert_eq!(run.stats.scalar_conflict_words, 0, "{}", s.name());
@@ -348,26 +260,12 @@ mod tests {
     fn fewer_modules_increase_pressure() {
         let p8 = compile(PROG, 8);
         let p2 = compile(PROG, 2);
-        let (a8, _) = assign(&p8.sched, Strategy::Stor1, &AssignParams::default());
-        let (a2, _) = assign(&p2.sched, Strategy::Stor1, &AssignParams::default());
+        let (a8, _) = assign(&p8.sched, Strategy::Stor1);
+        let (a2, _) = assign(&p2.sched, Strategy::Stor1);
         let r8 = checked_run(&p8, &a8, ArrayPlacement::Ideal).unwrap();
         let r2 = checked_run(&p2, &a2, ArrayPlacement::Ideal).unwrap();
         // A 2-wide machine needs at least as many words.
         assert!(r2.stats.words >= r8.stats.words);
-    }
-
-    #[test]
-    fn staged_compile_equals_compile_with() {
-        let opts = CompileOptions::default();
-        let spec = MachineSpec::with_modules(4);
-        let tac = frontend(PROG, &opts).unwrap();
-        let tac = optimize_stage(&tac, spec, &opts);
-        let (sched, _) = schedule_stage(&tac, spec, &opts);
-        let whole = compile_with(PROG, spec, opts).unwrap();
-        assert_eq!(
-            sched.access_trace().instructions,
-            whole.sched.access_trace().instructions
-        );
     }
 
     #[test]

@@ -69,8 +69,8 @@ pub fn rebuild_trace(sched: &SchedProgram) -> AccessTrace {
     AccessTrace::new(sched.spec.modules, insts)
 }
 
-/// PM009: compare a caller-supplied trace (e.g. the one the assignment was
-/// actually computed from) against the program's reconstruction
+/// PM009: compare a caller-supplied trace (e.g. the block-major trace a
+/// pipeline job publishes) against the program's reconstruction
 /// ([`rebuild_trace`]), word by word. Catches both bugs in
 /// `SchedProgram::access_trace` and stale traces that no longer describe the
 /// program being verified.

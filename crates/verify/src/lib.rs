@@ -45,8 +45,8 @@
 //! [`verify_scheduled`] for a scheduled program, [`verify_all`] for the
 //! whole compiled pipeline including the renaming proof over the TAC,
 //! [`verify_pipeline`] for the same checks inside a pipeline job (the
-//! scheduler's own webs, the trace the assignment was computed from, and
-//! PM008's comparison left for the job's own execution of the program),
+//! scheduler's own webs, the block-major access trace the job publishes,
+//! and PM008's comparison left for the job's own execution of the program),
 //! [`verify_certificate`] for exact-solver certificates (what
 //! `parmem verify --exact` uses), and [`verify_layout`] for compile-time
 //! [`parmem_core::layout::MemoryLayout`] plans (PM301–PM303).
@@ -268,9 +268,11 @@ pub fn verify_all(
 
 /// The checks of [`verify_all`] as a pipeline job runs them: PM101/PM102
 /// over `webs`, the webs `sched` was renamed with; PM009 against
-/// `published`, the trace the assignment was computed from; and PM008's
-/// comparison left open until [`PendingReport::finish`] receives the
-/// job's own execution of the program.
+/// `published`, the trace the job publishes (its block-major
+/// `SchedProgram::access_trace`, while STOR1, STOR3 and EXACT assign on
+/// the region-major trace); and PM008's comparison left open until
+/// [`PendingReport::finish`] receives the job's own execution of the
+/// program.
 pub fn verify_pipeline(
     tac: &TacProgram,
     sched: &SchedProgram,

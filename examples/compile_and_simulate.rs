@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     );
 
     // Conflict-aware assignment (the paper's pipeline).
-    let (smart, report) = session.assign(&prog);
+    let (smart, report) = session.assign(&prog.sched);
     println!(
         "  assignment: {} single-copy, {} duplicated, residual conflicts {}",
         report.single_copy, report.multi_copy, report.residual_conflicts

@@ -288,9 +288,6 @@ fn arg_spec(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static st
 }
 
 fn main() -> ExitCode {
-    // Register the exact solver so `--stor exact` works in every
-    // subcommand that dispatches through `run_strategy`.
-    parallel_memories::exact::install();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let cmd = raw.first().map(String::as_str).unwrap_or("");
 
@@ -477,7 +474,7 @@ fn cmd_compile(a: &CommonArgs) -> Result<(), CliError> {
         trace.instructions.len(),
         trace.distinct_values().len()
     );
-    let (assignment, report) = session.assign(&prog);
+    let (assignment, report) = session.assign(&prog.sched);
     println!(
         "{}: single-copy {}  duplicated {}  residual conflicts {}",
         session.strategy.name(),
@@ -518,7 +515,7 @@ fn cmd_verify(a: &CommonArgs) -> Result<(), CliError> {
             .with_strategy(args::strategy(a)?)
             .without_optimizer();
         let prog = session.compile(&text)?;
-        let (assignment, areport) = session.assign(&prog);
+        let (assignment, areport) = session.assign(&prog.sched);
         session.verify(&prog, &assignment, Some(&areport))
     } else {
         // Text access trace: assignment-level checks only.

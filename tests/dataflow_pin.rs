@@ -9,13 +9,13 @@
 
 use std::fmt::Write as _;
 
+use parallel_memories::driver::Session;
 use parallel_memories::ir::tac::{BlockId, TacProgram, VarId};
 use parallel_memories::ir::unroll::UnrollConfig;
 use parallel_memories::ir::webs::{compute_webs, TERM_IDX};
 use parallel_memories::lint::analyses::SubscriptAnalysis;
 use parallel_memories::lint::{array_stride_profiles, lint_program, LintOptions};
 use parallel_memories::obs::digest::fnv1a;
-use parallel_memories::sim::pipeline::{frontend, CompileOptions};
 
 /// The unroll setting `parmem --unroll 4` uses.
 const UNROLL4: UnrollConfig = UnrollConfig {
@@ -75,11 +75,9 @@ const FACTS: [&str; 5] = ["subscripts", "profiles", "lints", "webs", "tac"];
 /// Per (program, unroll): one digest per fact, each over the frontend TAC
 /// and the optimized TAC with if-conversion on and off, in that order.
 fn digests(source: &str, unroll: Option<UnrollConfig>) -> [u64; 5] {
-    let opts = CompileOptions {
-        unroll,
-        ..CompileOptions::default()
-    };
-    let tac = frontend(source, &opts).expect("corpus program compiles");
+    let mut session = Session::new(4);
+    session.opts.unroll = unroll;
+    let tac = session.frontend(source).expect("corpus program compiles");
     let variants = [
         tac.clone(),
         liw_opt::optimize_with(&tac, liw_opt::OptConfig { if_convert: true }).0,

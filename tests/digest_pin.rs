@@ -12,13 +12,13 @@ use parallel_memories::core::layout::ArrayPolicy;
 use parallel_memories::core::strategies::Strategy;
 use parallel_memories::core::synth::{scale_trace, ScaleSpec};
 use parallel_memories::core::trace_io;
-use parallel_memories::driver::{hash_output, Session};
+use parallel_memories::driver::{hash_output, CompileOptions, Session};
 use parallel_memories::exact::ExactConfig;
 use parallel_memories::ir::unroll::UnrollConfig;
 use parallel_memories::ir::Value;
 use parallel_memories::serve::cache::etag_for;
 use parallel_memories::serve::{parse_request, Daemon, Endpoint, ServeConfig};
-use parallel_memories::sim::{uniform_seed, CompileOptions};
+use parallel_memories::sim::uniform_seed;
 
 fn fft() -> &'static str {
     parallel_memories::workloads::by_name("FFT")
@@ -99,8 +99,8 @@ fn layout_workload_and_seed_digests() {
     ] {
         let s = Session::new(4).with_array_policy(policy);
         let prog = s.compile(fft()).expect("FFT compiles");
-        let (a, _) = s.assign(&prog);
-        assert_eq!(s.plan_layout(&prog, &a).digest(), want, "{policy:?}");
+        let (a, _) = s.assign(&prog.sched);
+        assert_eq!(s.plan_layout(&prog.tac, &a).digest(), want, "{policy:?}");
     }
 
     let prog = Session::new(4).compile(fft()).expect("FFT compiles");
@@ -112,13 +112,13 @@ fn layout_workload_and_seed_digests() {
 #[test]
 fn session_config_digests() {
     assert_eq!(Session::new(4).config_digest(), 0x0cd8_4859_90c0_5636);
-    let tuned = Session::new(4)
+    let mut tuned = Session::new(4)
         .with_strategy(Strategy::STOR3)
-        .with_opts(CompileOptions {
-            unroll: Some(UnrollConfig::default()),
-            ..CompileOptions::default()
-        })
         .with_exact_gap(ExactConfig::default());
+    tuned.opts = CompileOptions {
+        unroll: Some(UnrollConfig::default()),
+        ..CompileOptions::default()
+    };
     assert_eq!(tuned.config_digest(), 0x0b11_ae54_de27_8c36);
 }
 

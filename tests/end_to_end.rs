@@ -26,7 +26,7 @@ fn all_benchmarks_all_strategies_run_conflict_free_k8() {
         let prog = plain(8).compile(b.source).unwrap();
         for strategy in [Strategy::Stor1, Strategy::Stor2, Strategy::STOR3] {
             let session = plain(8).with_strategy(strategy);
-            let (a, report) = session.assign(&prog);
+            let (a, report) = session.assign(&prog.sched);
             assert_eq!(
                 report.residual_conflicts,
                 0,
@@ -71,7 +71,7 @@ fn job_verify_report_equals_verify_all() {
                     .outcome
                     .unwrap_or_else(|e| panic!("{} k={k}: {e}", b.name));
                 let prog = session.compile(b.source).unwrap();
-                let (a, report) = session.assign(&prog);
+                let (a, report) = session.assign(&prog.sched);
                 let direct = verify::verify_all(&prog.tac, &prog.sched, &a, Some(&report));
                 assert_eq!(
                     out.verify.to_json(),
@@ -101,7 +101,7 @@ fn all_benchmarks_verify_on_small_machines() {
         for k in [2, 3, 4] {
             let session = plain(k);
             let prog = session.compile(b.source).unwrap();
-            let (a, report) = session.assign(&prog);
+            let (a, report) = session.assign(&prog.sched);
             assert_eq!(report.residual_conflicts, 0, "{} k={k}", b.name);
             let run = sim::checked_run(&prog, &a, ArrayPlacement::Interleaved)
                 .unwrap_or_else(|e| panic!("{} k={k}: {e}", b.name, k = k));
@@ -115,7 +115,7 @@ fn timing_inequalities_hold_for_every_benchmark() {
     for b in workloads::benchmarks() {
         let session = plain(8);
         let prog = session.compile(b.source).unwrap();
-        let (a, _) = session.assign(&prog);
+        let (a, _) = session.assign(&prog.sched);
         let row = sim::table2_row(b.name, &prog.sched, &a, 7, None)
             .unwrap()
             .row;
@@ -145,7 +145,7 @@ fn output_is_invariant_under_layout_and_policy() {
 
     let trace = prog.sched.access_trace();
     let layouts = [
-        session.assign(&prog).0,
+        session.assign(&prog.sched).0,
         parallel_memories::core::baseline::round_robin(&trace),
         parallel_memories::core::baseline::single_module(&trace),
         parallel_memories::core::baseline::random_assignment(&trace, 3),
@@ -205,7 +205,7 @@ fn parmem_bench_speedups() -> Vec<(String, f64)> {
         .iter()
         .map(|b| {
             let prog = session.compile(b.source).unwrap();
-            let (a, _) = session.assign(&prog);
+            let (a, _) = session.assign(&prog.sched);
             let run = sim::checked_run(&prog, &a, ArrayPlacement::Interleaved).unwrap();
             (b.name.to_string(), run.speedup)
         })
@@ -220,7 +220,7 @@ fn copy_transfer_overhead_is_small() {
     let session = plain(8);
     for b in workloads::benchmarks() {
         let prog = session.compile(b.source).unwrap();
-        let (a, _) = session.assign(&prog);
+        let (a, _) = session.assign(&prog.sched);
         let run = sim::run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap();
         let frac = run.copy_write_transfers as f64 / run.transfer_time.max(1) as f64;
         assert!(
@@ -234,7 +234,7 @@ fn copy_transfer_overhead_is_small() {
 #[test]
 fn optimizer_and_unroller_preserve_benchmark_semantics() {
     use liw_ir::unroll::UnrollConfig;
-    use parallel_memories::sim::CompileOptions;
+    use parallel_memories::driver::CompileOptions;
 
     for b in workloads::benchmarks() {
         let reference = liw_ir::run_source(b.source).unwrap().output;
@@ -261,9 +261,10 @@ fn optimizer_and_unroller_preserve_benchmark_semantics() {
                 rename: false,
             },
         ] {
-            let session = Session::new(8).with_opts(opts);
+            let mut session = Session::new(8);
+            session.opts = opts;
             let prog = session.compile(b.source).unwrap();
-            let (a, report) = session.assign(&prog);
+            let (a, report) = session.assign(&prog.sched);
             assert_eq!(report.residual_conflicts, 0, "{} {opts:?}", b.name);
             let run = sim::run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap();
             assert_eq!(run.output, reference, "{} {opts:?}", b.name);
@@ -278,7 +279,7 @@ fn optimizer_never_increases_cycles_materially() {
         let plain_prog = plain(8).compile(b.source).unwrap();
         let opt_prog = Session::new(8).compile(b.source).unwrap();
         let run = |p: &sim::CompiledProgram| {
-            let (a, _) = plain(8).assign(p);
+            let (a, _) = plain(8).assign(&p.sched);
             sim::run(&p.sched, &a, ArrayPlacement::Ideal)
                 .unwrap()
                 .cycles
@@ -299,7 +300,7 @@ fn extended_workloads_run_conflict_free() {
         for k in [4, 8] {
             let session = plain(k);
             let prog = session.compile(b.source).unwrap();
-            let (a, report) = session.assign(&prog);
+            let (a, report) = session.assign(&prog.sched);
             assert_eq!(report.residual_conflicts, 0, "{} k={k}", b.name);
             let run = sim::run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap();
             assert_eq!(run.output, reference, "{} k={k}", b.name);
@@ -326,7 +327,7 @@ fn if_converted_code_runs_correctly_on_the_machine() {
     for optimize in [false, true] {
         let session = if optimize { Session::new(8) } else { plain(8) };
         let prog = session.compile(src).unwrap();
-        let (a, r) = session.assign(&prog);
+        let (a, r) = session.assign(&prog.sched);
         assert_eq!(r.residual_conflicts, 0);
         let run = sim::run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap();
         assert_eq!(run.output, reference, "optimize={optimize}");

@@ -313,8 +313,8 @@ fn brute_force_matching(operands: &[ModuleSet]) -> bool {
 /// loops, arrays — used to fuzz the optimizer and the full pipeline.
 mod rich_fuzz {
     use super::*;
-    use parallel_memories::driver::Session;
-    use parallel_memories::sim::{self, ArrayPlacement, CompileOptions};
+    use parallel_memories::driver::{CompileOptions, Session};
+    use parallel_memories::sim::{self, ArrayPlacement};
 
     #[derive(Clone, Debug)]
     enum FStmt {
@@ -456,9 +456,10 @@ mod rich_fuzz {
                 optimize: true,
                 rename: true,
             };
-            let session = Session::new(k).with_opts(opts);
+            let mut session = Session::new(k);
+            session.opts = opts;
             let prog = session.compile(&src).unwrap();
-            let (a, report) = session.assign(&prog);
+            let (a, report) = session.assign(&prog.sched);
             prop_assert_eq!(report.residual_conflicts, 0);
             let run = sim::run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap();
             prop_assert!(outputs_equal(&run.output, &reference.output));
@@ -660,7 +661,7 @@ mod program_fuzz {
             let session = Session::new(k).without_optimizer();
             let prog = session.compile(&src).unwrap();
             let reference = liw_ir::run_source(&src).unwrap();
-            let (a, report) = session.assign(&prog);
+            let (a, report) = session.assign(&prog.sched);
             prop_assert_eq!(report.residual_conflicts, 0);
             let run = sim::run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap();
             prop_assert_eq!(run.output, reference.output);

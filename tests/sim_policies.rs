@@ -85,7 +85,7 @@ fn every_policy_matches_its_one_policy_run() {
                 ("stor3+unroll4", unrolled_stor3(k)),
             ] {
                 let prog = session.compile(b.source).unwrap();
-                let (a, _) = session.assign(&prog);
+                let (a, _) = session.assign(&prog.sched);
                 let seed = uniform_seed(session.seed, prog.sched.workload_digest());
                 let profiles = parallel_memories::lint::array_stride_profiles(&prog.tac);
                 let mut policies = vec![
@@ -129,7 +129,7 @@ fn errors_match_the_one_policy_path() {
         begin i := 9; a[i] := 1; end.";
     let session = Session::new(4);
     let prog = session.compile(oob).unwrap();
-    let (a, _) = session.assign(&prog);
+    let (a, _) = session.assign(&prog.sched);
     let alone = run(&prog.sched, &a, ArrayPlacement::Interleaved).unwrap_err();
     assert!(
         matches!(alone, SimError::Bounds { index: 9, .. }),
@@ -142,7 +142,7 @@ fn errors_match_the_one_policy_path() {
         .find(|b| b.name == "FFT")
         .expect("FFT workload");
     let prog = session.compile(fft.source).unwrap();
-    let (a, _) = session.assign(&prog);
+    let (a, _) = session.assign(&prog.sched);
     let alone = run_with_fuel(&prog.sched, &a, ArrayPlacement::Ideal, 3).unwrap_err();
     assert_eq!(alone, SimError::OutOfFuel);
     assert_eq!(
