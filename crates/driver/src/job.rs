@@ -537,12 +537,12 @@ impl<'a> PipelineContext<'a> {
                 None => simulated.push(liw_ir::Value::Int(i64::MIN)),
             }
         }
-        if simulated != reference.output {
-            let first_mismatch = reference
-                .output
-                .iter()
-                .zip(&simulated)
-                .position(|(a, b)| a != b);
+        let first_mismatch = reference
+            .output
+            .iter()
+            .zip(&simulated)
+            .position(|(a, b)| !a.same(*b));
+        if first_mismatch.is_some() || simulated.len() != reference.output.len() {
             return Err(JobError::Divergence {
                 expected: reference.output.len(),
                 actual: simulated.len(),

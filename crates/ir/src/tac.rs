@@ -106,6 +106,19 @@ impl Value {
             Value::Real(v) => v != 0.0,
         }
     }
+
+    /// Whether two values are the same value: same type and same bits, or
+    /// both NaN reals. Unlike `==`, NaN is the same as NaN (so a program
+    /// that prints NaN matches its own reference output, and a fixpoint
+    /// over NaN constants settles), and `-0.0` is not the same as `0.0`.
+    pub fn same(self, other: Value) -> bool {
+        match (self, other) {
+            (Value::Real(a), Value::Real(b)) => {
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+            }
+            _ => self == other,
+        }
+    }
 }
 
 impl fmt::Display for Value {

@@ -179,12 +179,12 @@ pub fn checked_run(
 ) -> Result<VerifiedRun, PipelineError> {
     let reference = liw_ir::run(&prog.tac)?;
     let stats = machine::run(&prog.sched, assignment, policy)?;
-    if stats.output != reference.output {
-        let first_mismatch = reference
-            .output
-            .iter()
-            .zip(&stats.output)
-            .position(|(a, b)| a != b);
+    let first_mismatch = reference
+        .output
+        .iter()
+        .zip(&stats.output)
+        .position(|(a, b)| !a.same(*b));
+    if first_mismatch.is_some() || stats.output.len() != reference.output.len() {
         return Err(Box::new(Divergence {
             expected: reference.output,
             actual: stats.output,

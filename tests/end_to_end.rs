@@ -341,3 +341,22 @@ fn if_converted_code_runs_correctly_on_the_machine() {
         cycles[1]
     );
 }
+
+#[test]
+fn a_program_that_prints_nan_matches_its_reference() {
+    // sqrt(-1) is NaN on the interpreter and the machine alike, and NaN is
+    // not `==` to itself: the output checks must compare values by
+    // `Value::same`, or every pipeline job fails on this program.
+    let src = "program p; var x: real; begin x := sqrt(0.0 - 1.0); print x; end.";
+    let session = Session::new(4);
+    let out = session
+        .run("nan", src)
+        .outcome
+        .unwrap_or_else(|e| panic!("Session::run: {e}"));
+    assert_eq!(out.output_len, 1);
+    let prog = session.compile(src).unwrap();
+    let (a, _) = session.assign(&prog.sched);
+    let run = sim::checked_run(&prog, &a, ArrayPlacement::Interleaved)
+        .unwrap_or_else(|e| panic!("checked_run: {e}"));
+    assert!(matches!(run.stats.output[..], [liw_ir::Value::Real(x)] if x.is_nan()));
+}
