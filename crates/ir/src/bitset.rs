@@ -8,10 +8,26 @@
 //! word-parallel `join`/`transfer` operations instead of hashing.
 
 /// A set of small integers in `0..capacity`, stored one bit each.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> BitSet {
+        BitSet {
+            words: self.words.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Copy `source` into this set's own buffer, allocating only when the
+    /// buffer is too small.
+    fn clone_from(&mut self, source: &BitSet) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
 }
 
 impl BitSet {
@@ -104,6 +120,15 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Remove and return the smallest member.
+    pub fn pop_first(&mut self) -> Option<usize> {
+        let wi = self.words.iter().position(|&w| w != 0)?;
+        let w = &mut self.words[wi];
+        let b = w.trailing_zeros() as usize;
+        *w &= *w - 1;
+        Some(wi * 64 + b)
+    }
+
     /// Members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -154,6 +179,28 @@ mod tests {
         let mut d = u.clone();
         d.subtract(&a);
         assert_eq!(d.iter().collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn pop_first_takes_members_in_ascending_order() {
+        let mut s = BitSet::new(200);
+        for i in [130, 3, 64, 199] {
+            s.insert(i);
+        }
+        assert_eq!(s.pop_first(), Some(3));
+        s.insert(1);
+        let rest: Vec<usize> = std::iter::from_fn(|| s.pop_first()).collect();
+        assert_eq!(rest, vec![1, 64, 130, 199]);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_buffer() {
+        let mut a = BitSet::full(100);
+        let b = BitSet::new(70);
+        a.clone_from(&b);
+        assert_eq!(a, b);
+        assert_eq!(a.capacity(), 70);
     }
 
     #[test]
