@@ -141,15 +141,14 @@ pub struct NaturalLoop {
 }
 
 /// Find all natural loops (one per back edge; loops sharing a header are
-/// merged).
-pub fn natural_loops(cfg: &Cfg) -> Vec<NaturalLoop> {
-    let idom = cfg.dominators();
+/// merged), given the immediate dominators `idom` of [`Cfg::dominators`].
+pub fn natural_loops(cfg: &Cfg, idom: &[Option<BlockId>]) -> Vec<NaturalLoop> {
     let mut loops: Vec<NaturalLoop> = Vec::new();
 
     for &b in &cfg.rpo {
         for &s in &cfg.succs[b.index()] {
             // Back edge b → s when s dominates b.
-            if cfg.is_reachable(s) && cfg.dominates(&idom, s, b) {
+            if cfg.is_reachable(s) && cfg.dominates(idom, s, b) {
                 // Collect the natural loop of this back edge.
                 let mut body: HashSet<BlockId> = [s, b].into_iter().collect();
                 let mut stack = vec![b];
@@ -188,7 +187,7 @@ pub struct RegionId(pub u32);
 /// region 0.
 pub fn regions(p: &TacProgram) -> (Vec<RegionId>, usize) {
     let cfg = Cfg::build(p);
-    let loops = natural_loops(&cfg);
+    let loops = natural_loops(&cfg, &cfg.dominators());
 
     // Sort loops by size ascending so the first containing loop found per
     // block is the innermost.
@@ -221,7 +220,7 @@ mod tests {
     fn straight_line_has_no_loops() {
         let p = compile("program t; var x: int; begin x := 1; end.");
         let cfg = Cfg::build(&p);
-        assert!(natural_loops(&cfg).is_empty());
+        assert!(natural_loops(&cfg, &cfg.dominators()).is_empty());
         let (regions, n) = regions(&p);
         assert_eq!(n, 1);
         assert!(regions.iter().all(|&r| r == RegionId(0)));
@@ -231,7 +230,7 @@ mod tests {
     fn while_loop_is_detected() {
         let p = compile("program t; var i: int; begin i := 0; while i < 10 do i := i + 1; end.");
         let cfg = Cfg::build(&p);
-        let loops = natural_loops(&cfg);
+        let loops = natural_loops(&cfg, &cfg.dominators());
         assert_eq!(loops.len(), 1);
         // Loop contains head and body.
         assert!(loops[0].blocks.len() >= 2);
@@ -252,7 +251,7 @@ mod tests {
              end.",
         );
         let cfg = Cfg::build(&p);
-        let loops = natural_loops(&cfg);
+        let loops = natural_loops(&cfg, &cfg.dominators());
         assert_eq!(loops.len(), 2);
         let (regs, n) = regions(&p);
         assert_eq!(n, 3);

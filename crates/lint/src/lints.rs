@@ -213,15 +213,10 @@ pub fn lint_program(p: &TacProgram, opts: &LintOptions) -> Vec<LintDiag> {
     for v in p.blocks.iter().flat_map(|b| b.term.reads()) {
         conds.insert(v.index());
     }
-    let cp = ConstProp::compute(p, &conds);
+    let cp = ConstProp::compute(p, &cfg, &conds);
     for &b in &cfg.rpo {
-        let bi = b.index();
-        if let Terminator::Branch { cond, .. } = &p.blocks[bi].term {
-            let mut env = cp.entry_env[bi].clone();
-            for inst in &p.blocks[bi].instrs {
-                cp.apply_instr(&mut env, inst);
-            }
-            if let ConstVal::Known(v) = cp.eval_operand(&env, cond) {
+        if let Terminator::Branch { cond, .. } = &p.blocks[b.index()].term {
+            if let ConstVal::Known(v) = cp.operand(b, TERM_IDX, cond) {
                 diags.push(
                     LintDiag::new(
                         LintCode::PML004,
@@ -236,7 +231,7 @@ pub fn lint_program(p: &TacProgram, opts: &LintOptions) -> Vec<LintDiag> {
     // PML005/PML006/PML007: subscript-shape lints.
     let sa = SubscriptAnalysis::compute(p);
     let in_loop: Vec<bool> = {
-        let loops = natural_loops(&cfg);
+        let loops = natural_loops(&cfg, &cfg.dominators());
         let mut v = vec![false; p.blocks.len()];
         for l in &loops {
             for b in &l.blocks {
