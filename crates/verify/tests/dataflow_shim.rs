@@ -1,16 +1,17 @@
 //! Differential pin for the dataflow shim: `parmem_verify::dataflow`'s
-//! `for_each_use` (reaching definitions) and `Liveness` delegate to the
-//! shared `parmem-lint` fixpoint engine. This test embeds a verbatim copy of
-//! the historical from-scratch solvers and checks that the shimmed results
-//! are byte-identical (under a canonical serialization) on every workload
-//! in the corpus, with no unroll and unrolled by 4, both unoptimized and
-//! after the full `liw-opt` pipeline.
+//! `for_each_use` (reaching definitions) delegates to the shared
+//! `parmem-lint` fixpoint engine, as does `parmem_lint::Liveness`. This test
+//! embeds a verbatim copy of the historical from-scratch solvers and checks
+//! that both results are byte-identical (under a canonical serialization)
+//! on every workload in the corpus, with no unroll and unrolled by 4, both
+//! unoptimized and after the full `liw-opt` pipeline.
 
 use std::collections::{HashMap, HashSet};
 
 use liw_ir::tac::{BlockId, TacProgram, VarId};
 use liw_ir::webs::TERM_IDX;
-use parmem_verify::dataflow::{for_each_use, Def, Liveness};
+use parmem_lint::{BitSet, Liveness};
+use parmem_verify::dataflow::{for_each_use, Def};
 
 /// The historical implementations, copied verbatim from
 /// `crates/verify/src/dataflow.rs` as of the commit that introduced the
@@ -241,9 +242,13 @@ fn check_program(label: &str, p: &TacProgram) {
     );
 
     let new_lv = Liveness::compute(p);
+    let to_sets = |sets: &[BitSet]| -> Vec<HashSet<VarId>> {
+        let vars = |s: &BitSet| s.iter().map(|v| VarId(v as u32)).collect();
+        sets.iter().map(vars).collect()
+    };
     let old_lv = reference::RefLiveness::compute(p);
     assert_eq!(
-        canon_live(&new_lv.live_in, &new_lv.live_out),
+        canon_live(&to_sets(&new_lv.live_in), &to_sets(&new_lv.live_out)),
         canon_live(&old_lv.live_in, &old_lv.live_out),
         "liveness diverged on {label}"
     );
